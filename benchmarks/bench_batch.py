@@ -18,6 +18,18 @@ the same seed and the verdicts are recorded world-by-world in the
 output JSON.  A speedup bought by drifting off the scalar semantics
 would show up here as a parity failure, not a win.
 
+Two more sections price the shapes a wide batch hides:
+
+- **width curve**: the same workload at 1, 4, 16, 64 and 256 live
+  worlds, each against the scalar kernel in the same process (CPU
+  seconds, so a busy host moves both sides alike);
+- **Table V**: the paper's first three ``byte`` trials through
+  :class:`~repro.testbench.experiment.UnlockExperiment` (one world
+  each, stopping at its unlock) against the scalar reference.
+
+The gate fails on any parity break or fallback, on width 1 below 1x,
+or on the main run below 10x.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_batch.py \
@@ -40,10 +52,21 @@ from repro.fuzz.config import FuzzConfig
 from repro.fuzz.generator import RandomFrameGenerator, TargetedFrameGenerator
 from repro.sim.clock import MS
 from repro.testbench.bench import UnlockTestbench
+from repro.testbench.experiment import UnlockExperiment
 
 #: Id pool for the targeted-generator variant: the bus's known
 #: identifiers, the narrowing a real campaign applies after listening.
 TARGETED_IDS = (0x215, 0x3A5, 0x100)
+
+#: Live widths of the width curve, frames per world there, and the
+#: seeds priced on the scalar kernel (every width batches seed 0 up,
+#: so each is parity-checked against the first min(width, 4)).
+CURVE_WIDTHS = (1, 4, 16, 64, 256)
+CURVE_FRAMES = 20_000
+CURVE_SCALAR_SAMPLE = 4
+
+#: Table V trials run both ways: the paper's "Single id and byte" row.
+TABLE5_TRIALS = 3
 
 
 def build_campaign(seed: int, frames: int,
@@ -89,6 +112,65 @@ def run_batched(seeds, frames, targeted=False):
     dicts = [result.to_dict() for result in results]
     total = sum(r["frames_sent"] for r in dicts)
     return dicts, total / wall, wall, dict(batch.fallback_reasons)
+
+
+def cpu_timed(call):
+    """``(call(), CPU seconds it took)``."""
+    start = time.process_time()
+    value = call()
+    return value, time.process_time() - start
+
+
+def width_curve():
+    """Batched vs scalar frames per CPU second at each live width."""
+    seeds = list(range(CURVE_SCALAR_SAMPLE))
+    scalar, scalar_cpu = cpu_timed(lambda: [
+        build_campaign(seed, CURVE_FRAMES).run().to_dict()
+        for seed in seeds])
+    scalar_fps = sum(r["frames_sent"] for r in scalar) / scalar_cpu
+    curve = []
+    for width in CURVE_WIDTHS:
+        batch = BatchCampaign([build_campaign(seed, CURVE_FRAMES)
+                               for seed in range(width)])
+        results, cpu = cpu_timed(batch.run)
+        dicts = [result.to_dict() for result in results]
+        parity = [dicts[i] == scalar[i]
+                  for i in range(min(width, len(seeds)))]
+        fps = sum(r["frames_sent"] for r in dicts) / cpu
+        curve.append({"worlds": width,
+                      "batched_frames_per_cpu_second": fps,
+                      "scalar_frames_per_cpu_second": scalar_fps,
+                      "speedup": fps / scalar_fps,
+                      "fallback_reasons": dict(batch.fallback_reasons),
+                      "world_by_world_identical": parity,
+                      "all_identical": all(parity)})
+        print(f"  {width:>3} worlds: {fps / scalar_fps:6.1f}x, "
+              f"parity {sum(parity)}/{len(parity)}")
+    return curve
+
+
+def table5_trials():
+    """The first Table V byte trials, lockstep engine vs scalar."""
+    experiment = UnlockExperiment(check_mode="byte", seed=0)
+    rows = []
+    for trial in range(TABLE5_TRIALS):
+        (outcome, result), batched_cpu = cpu_timed(
+            lambda: experiment.trial_result(trial))
+        (want, want_result), scalar_cpu = cpu_timed(
+            lambda: experiment.trial_result(trial, scalar=True))
+        identical = (outcome == want
+                     and result.to_dict() == want_result.to_dict())
+        rows.append({"trial": trial,
+                     "seconds_to_unlock": outcome.seconds_to_unlock,
+                     "frames": outcome.frames_sent,
+                     "batched_cpu_seconds": batched_cpu,
+                     "scalar_cpu_seconds": scalar_cpu,
+                     "speedup": scalar_cpu / batched_cpu,
+                     "fallback_reasons": result.fallback_reasons,
+                     "identical": identical})
+        print(f"  trial {trial}: unlock at {outcome.seconds_to_unlock} s, "
+              f"{scalar_cpu / batched_cpu:.1f}x, identical={identical}")
+    return rows
 
 
 def positive_int(text: str) -> int:
@@ -149,6 +231,11 @@ def main(argv=None) -> int:
     print(f"  parity {sum(targeted_parity)}/{targeted_sample}, "
           f"fallbacks: {targeted_fallbacks or 'none'}")
 
+    print(f"width curve: {CURVE_FRAMES} frames per world ...")
+    curve = width_curve()
+    print(f"Table V byte row, first {TABLE5_TRIALS} trials ...")
+    table5 = table5_trials()
+
     report = {
         "benchmark": "batched lockstep campaign vs scalar kernel",
         "workload": {
@@ -184,6 +271,12 @@ def main(argv=None) -> int:
             "world_by_world_identical": targeted_parity,
             "all_identical": all(targeted_parity),
         },
+        "width_curve": curve,
+        "table5": {
+            "experiment": "UnlockExperiment(check_mode='byte', seed=0)",
+            "trials": table5,
+            "all_identical": all(row["identical"] for row in table5),
+        },
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
@@ -192,10 +285,17 @@ def main(argv=None) -> int:
         print(f"wrote {args.output}")
 
     ok = (all(parity) and not fallbacks and speedup >= 10.0
-          and all(targeted_parity) and not targeted_fallbacks)
+          and all(targeted_parity) and not targeted_fallbacks
+          and all(p["all_identical"] and not p["fallback_reasons"]
+                  for p in curve)
+          and curve[0]["speedup"] >= 1.0
+          and all(row["identical"] and not row["fallback_reasons"]
+                  for row in table5))
     if not ok:
-        print("FAILED: need >= 10x with full world-by-world parity and "
-              "a fallback-free targeted variant", file=sys.stderr)
+        print("FAILED: need >= 10x with full world-by-world parity, a "
+              "fallback-free targeted variant, parity at every width "
+              "with width 1 at >= 1x, and Table V trials identical to "
+              "the scalar reference", file=sys.stderr)
     return 0 if ok else 1
 
 

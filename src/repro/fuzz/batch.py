@@ -6,10 +6,13 @@ event, oracle taps.  For the unlock-bench workload almost every one of
 those events is *predictable* -- the fuzzer transmits on a fixed
 interval grid, the bench answers only to command frames, and the BCM's
 status broadcast rides the same grid -- so N independent campaign
-worlds can advance in lockstep with one vectorised dispatch per tick:
+worlds can advance in time-blocked rounds, vectorised both across
+worlds and along each world's own frame stream:
 
-- frame generation is one :class:`~repro.sim.batch.BatchRandom` draw
-  across all active worlds (bit-exact CPython ``random`` emulation),
+- frame generation parses a window of each world's upcoming raw
+  :class:`~repro.sim.batch.BatchRandom` words into thousands of frames
+  at once (bit-exact CPython ``random`` emulation), committing only
+  the words the frames actually applied consumed,
 - transmit bookkeeping (counters, recent windows) lives in
   struct-of-arrays numpy storage (:class:`~repro.sim.batch.FrameRing`),
 - the *rare* events -- a frame that matches the BCM's command check, a
@@ -61,13 +64,14 @@ from repro.fuzz.session import (FALLBACK_WARNING_PREFIX, FuzzResult,
                                 frame_to_dict)
 from repro.fuzz.uds_campaign import UdsFuzzCampaign
 from repro.sim.batch import (BatchRandom, BatchRandomView, FrameRing,
+                             next_accepted, randbytes_rows,
                              state_from_random)
 from repro.sim.clock import MS, SECOND
 from repro.sim.random import rng_state_from_json, rng_state_to_json
 from repro.uds.client import UdsResponse
 from repro.uds.stategen import UdsStateGenerator
 
-#: Step cap sentinel for worlds without a pending candidate finding.
+#: Checkpoint sentinel for worlds without a journal.
 _NO_CAP = np.iinfo(np.int64).max
 
 #: Check-mode codes for the vectorised command-match masks.
@@ -147,9 +151,9 @@ def plan_frame_world(index: int, campaign: FuzzCampaign, bench,
     scalar kernel instead, so the worst case is the old speed, never a
     wrong result.  The rules, by layer:
 
-    campaign -- plain :class:`FuzzCampaign`, zero interval jitter, no
-    tx gate / bus-off handler / reset hook / adversarial channel, and
-    ``stop_on_finding`` (or no oracles at all).
+    campaign -- plain :class:`FuzzCampaign`, zero interval jitter, a
+    bounded recent window, no tx gate / bus-off handler / reset hook /
+    adversarial channel, and ``stop_on_finding`` (or no oracles at all).
 
     generator -- exactly :class:`RandomFrameGenerator` (or its
     targeted subclass), classic frames only, and an RNG whose state is
@@ -346,6 +350,8 @@ def plan_frame_world(index: int, campaign: FuzzCampaign, bench,
                       - generator.config.byte_min + 1)
     plan.max_dlc = int(plan.pool_dlcs.max()) if plan.pool_dlcs.size else 0
     plan.recent_maxlen = c._recent.maxlen
+    if plan.recent_maxlen is None:
+        fail("unbounded recent window runs scalar")
     plan.jitter_json = (rng_state_to_json(c._rng.getstate())
                         if c._rng is not None else None)
 
@@ -722,7 +728,7 @@ class BatchCampaign:
             results[index] = result
         groups: dict[tuple, list[_WorldPlan]] = {}
         for plan in plans:
-            key = (plan.pool_ids.size, plan.pool_dlcs.size,
+            key = (plan.pool_ids.size, tuple(plan.pool_dlcs.tolist()),
                    plan.full_byte_range, plan.byte_min, plan.byte_span)
             groups.setdefault(key, []).append(plan)
         for group in groups.values():
@@ -732,12 +738,31 @@ class BatchCampaign:
         return results
 
 
-class _GroupEngine:
-    """The vectorised main loop for one draw-compatible world group.
+#: Upcoming MT19937 words one engine round parses, across all live
+#: worlds of a group: about 6,400 full-range frames at width 1, a few
+#: dozen per world at width 256.  Sized so a round's scratch arrays (a
+#: handful of index arrays the window's shape) stay near a megabyte; it
+#: is a memory bound, not a tuning knob.
+ROUND_WORDS = 32768
 
-    Worlds in a group share pool *sizes* and byte range (so every RNG
-    draw is one ``randbelow`` across the group); pools themselves,
-    intervals, limits, oracles and check modes are per-world arrays.
+
+class _GroupEngine:
+    """The time-blocked main loop for one draw-compatible world group.
+
+    Worlds in a group share their id-pool size, DLC pool and byte
+    range, so one window of raw words parses with the same rejection
+    shifts in every row; id pools, intervals, limits, oracles and check
+    modes are per-world arrays.
+
+    Each round takes a window of upcoming words per live world and
+    parses it into frames exactly as ``RandomFrameGenerator.next_frame``
+    would (:meth:`_frame_table`, :meth:`_chain`).  A world's block ends
+    at the first of its step limit, its first flagged frame (a command
+    match or a watched id), its next checkpoint and the last whole
+    frame in its window.  The block is applied in bulk and exactly the
+    words it used are committed, so RNG position, counters and ring
+    equal the scalar run's after the block's last frame -- which is
+    where checkpoints and episodes then run, unchanged.
     """
 
     def __init__(self, plans: list[_WorldPlan]) -> None:
@@ -747,16 +772,19 @@ class _GroupEngine:
         p0 = plans[0]
         self.id_count = p0.pool_ids.size
         self.dlc_count = p0.pool_dlcs.size
+        self.id_shift = 32 - self.id_count.bit_length()
+        self.dlc_shift = 32 - self.dlc_count.bit_length()
         self.full_byte_range = p0.full_byte_range
         self.byte_min = p0.byte_min
         self.byte_span = p0.byte_span
+        self.byte_shift = 32 - self.byte_span.bit_length()
         self.group_max_dlc = max(p.max_dlc for p in plans)
 
         self.first_tx = np.array([p.first_tx for p in plans], np.int64)
         self.interval = np.array([p.interval for p in plans], np.int64)
-        self.deadline = np.array([p.deadline for p in plans], np.int64)
         self.natural_steps = np.array([p.natural_steps for p in plans],
                                       np.int64)
+        self.step = np.zeros(n, np.int64)
         self.sent = np.array([p.base_frames for p in plans], np.int64)
         self.mode = np.array([p.mode for p in plans], np.int64)
         self.body_id = np.array([p.body_command_id for p in plans], np.int64)
@@ -764,8 +792,11 @@ class _GroupEngine:
         self.next_cp = np.array(
             [p.base_frames + p.checkpoint_every if p.journal is not None
              else _NO_CAP for p in plans], np.int64)
+        self.has_journal = any(p.journal is not None for p in plans)
         self.pool_ids = np.stack([p.pool_ids for p in plans])
-        self.pool_dlcs = np.stack([p.pool_dlcs for p in plans])
+        self.pool_dlcs = p0.pool_dlcs
+        # Payload words per DLC-pool entry: what ``randbytes`` draws.
+        self.dlc_words = ((self.pool_dlcs + 3) // 4).astype(np.int32)
         watch_width = max((len(p.watch_ids) for p in plans), default=0)
         watch_width = max(watch_width, 1)
         self.watch = np.full((n, watch_width), -1, np.int64)
@@ -776,7 +807,7 @@ class _GroupEngine:
                 self.any_watch = True
 
         self.rng = BatchRandom([p.rng_state for p in plans])
-        self.ring = FrameRing(n, max(p.recent_maxlen for p in plans))
+        self.ring = FrameRing(n, max(1, max(p.recent_maxlen for p in plans)))
         for row, p in enumerate(plans):
             if p.recent_rows:
                 self.ring.seed(row, p.recent_rows)
@@ -796,94 +827,210 @@ class _GroupEngine:
             self._recompute_pending(row, p.status_base - 1)
 
     # ------------------------------------------------------------------
-    # Vector main loop
+    # Time-blocked main loop
     # ------------------------------------------------------------------
     def run(self) -> None:
-        n = self.n
-        alive = np.ones(n, dtype=bool)
-        step = 0
-        rng = self.rng
-        ring = self.ring
-        randbelow = rng.randbelow
-        states = self.states
-        first_tx = self.first_tx
-        interval = self.interval
-        limit_step = self.limit_step
-        sent = self.sent
-        next_cp = self.next_cp
-        pool_ids = self.pool_ids
-        pool_dlcs = self.pool_dlcs
-        id_count = self.id_count
-        dlc_count = self.dlc_count
-        full_byte_range = self.full_byte_range
-        mode_codes = self.mode
-        body_ids = self.body_id
-        any_watch = self.any_watch
-        code_mask = self._code_mask
-        has_journal = bool((next_cp != _NO_CAP).any())
+        alive = np.ones(self.n, dtype=bool)
+        # Per-world window growth: doubles while a world's window holds
+        # no whole frame (a budget below one frame, or a freak run of
+        # rejections), back to 1 once it moves.
+        scale = np.ones(self.n, dtype=np.int64)
         while True:
-            run_mask = alive & (step < limit_step)
-            done = alive & ~run_mask
-            if done.any():
-                for w in done.nonzero()[0]:
-                    self._finalize_natural(int(w))
-                    alive[w] = False
-            active = run_mask.nonzero()[0]
-            if active.size == 0:
-                break
-            ticks = first_tx[active] + step * interval[active]
-            id_idx = randbelow(active, id_count)
-            ids = pool_ids[active, id_idx]
-            dlc_idx = randbelow(active, dlc_count)
-            dlcs = pool_dlcs[active, dlc_idx]
-            if full_byte_range:
-                data = rng.randbytes8(active, dlcs)
-            else:
-                data = np.zeros((active.size, 8), np.uint8)
-                for column in range(self.group_max_dlc):
-                    rows = (dlcs > column).nonzero()[0]
-                    if rows.size:
-                        data[rows, column] = (
-                            self.byte_min
-                            + randbelow(active[rows], self.byte_span)
-                        ).astype(np.uint8)
-            sent[active] += 1
-            ring.append(active, ticks, ids, dlcs, data)
-            if has_journal:
-                due = (sent[active] >= next_cp[active]).nonzero()[0]
-                for pos in due:
-                    w = int(active[pos])
-                    self._write_checkpoint(w, int(ticks[pos]))
-                    next_cp[w] = sent[w] + self.plans[w].checkpoint_every
-            # Rare-event candidates: command matches and watched ids.
-            d0 = data[:, 0]
-            d1 = data[:, 1]
-            mode = mode_codes[active]
-            is_cmd = ids == body_ids[active]
-            if is_cmd.any():
-                unlock = is_cmd & code_mask(mode, d0, d1, dlcs, 0x20)
-                lock = is_cmd & code_mask(mode, d0, d1, dlcs, 0x10)
-                flagged = unlock | lock
-            else:
-                unlock = lock = is_cmd
-                flagged = is_cmd
-            if any_watch:
-                flagged = flagged | (
-                    ids[:, None] == self.watch[active]).any(axis=1)
-            if flagged.any():
-                for pos in flagged.nonzero()[0]:
-                    w = int(active[pos])
-                    dlc = int(dlcs[pos])
-                    self._episode(w, int(ticks[pos]), int(ids[pos]), dlc,
-                                  bytes(data[pos, :dlc]), bool(unlock[pos]),
-                                  bool(lock[pos]))
-                    if states[w].finished:
-                        alive[w] = False
-            step += 1
+            done = (alive & (self.step >= self.limit_step)).nonzero()[0]
+            for w in done.tolist():
+                self._finalize_natural(w)
+                alive[w] = False
+            live = alive.nonzero()[0]
+            if live.size == 0:
+                return
+            width = (max(ROUND_WORDS // live.size, 1)
+                     * int(scale[live].max()))
+            moved = self._round(live, self.rng.window(live, width), alive)
+            scale[live] = np.where(moved, 1, scale[live] * 2)
+
+    def _round(self, live: np.ndarray, words: np.ndarray,
+               alive: np.ndarray) -> np.ndarray:
+        """Parse one window per live world and apply each world's block.
+
+        Returns which worlds advanced at least one frame.
+        """
+        m, width = words.shape
+        nxt_id = next_accepted(words, self.id_count)
+        nxt_dlc = next_accepted(words, self.dlc_count)
+        nxt_byte = (None if self.full_byte_range
+                    else next_accepted(words, self.byte_span))
+        table, complete = self._frame_table(words, nxt_id, nxt_dlc,
+                                            nxt_byte)
+        starts = self._chain(table, complete)
+        rows, cols = np.divmod(starts, width + 1)
+        counts = np.bincount(rows, minlength=m)
+        first = np.cumsum(counts) - counts
+        k = np.arange(starts.size) - first[rows]
+        worlds = live[rows]
+        j1 = nxt_id[rows, cols]
+        ids = self.pool_ids[worlds, words[rows, j1] >> self.id_shift]
+
+        # Flagged frames: decode payloads only where the id can matter.
+        flag_at = np.full(m, width, np.int64)
+        cand = ids == self.body_id[worlds]
+        if self.any_watch:
+            cand |= (ids[:, None] == self.watch[worlds]).any(axis=1)
+        cand = cand.nonzero()[0]
+        if cand.size:
+            c_dlcs, c_data = self._payloads(words, nxt_dlc, nxt_byte,
+                                            rows[cand], j1[cand])
+            c_unlock, c_lock, flagged = self._flags(
+                worlds[cand], ids[cand], c_dlcs, c_data)
+            hits = flagged.nonzero()[0]
+            hit_rows = rows[cand[hits]]
+            firsts = np.ones(hits.size, dtype=bool)
+            firsts[1:] = hit_rows[1:] != hit_rows[:-1]
+            flag_at[hit_rows[firsts]] = k[cand[hits[firsts]]]
+            flag_pos = dict(zip(hit_rows[firsts].tolist(),
+                                hits[firsts].tolist()))
+
+        # Cut each world's block and apply it.
+        sent = self.sent
+        step = self.step
+        cut = np.minimum(counts, self.limit_step[live] - step[live])
+        cut = np.minimum(cut, flag_at + 1)
+        cut = np.minimum(cut, self.next_cp[live] - sent[live])
+        moved = cut > 0
+        last = (first + cut - 1)[moved]
+        consumed = np.zeros(m, np.int64)
+        consumed[moved] = table.ravel()[starts[last]]
+        self.rng.commit(live, consumed)
+
+        # Only each block's newest ``capacity`` frames reach the ring.
+        ring = self.ring
+        block_k = k - cut[rows]
+        keep = ((block_k < 0) & (block_k >= -ring.capacity)).nonzero()[0]
+        if keep.size:
+            kw = worlds[keep]
+            dlcs, data = self._payloads(words, nxt_dlc, nxt_byte,
+                                        rows[keep], j1[keep])
+            ticks = (self.first_tx[kw]
+                     + (step[kw] + k[keep]) * self.interval[kw])
+            ring.store(kw, ring.filled[kw] + k[keep], ticks, ids[keep],
+                       dlcs, data)
+        ring.filled[live] += cut
+        sent[live] += cut
+        step[live] += cut
+        last_tick = (self.first_tx[live]
+                     + (step[live] - 1) * self.interval[live])
+
+        if self.has_journal:
+            due = (moved & (sent[live] >= self.next_cp[live])).nonzero()[0]
+            for row in due.tolist():
+                w = int(live[row])
+                self._write_checkpoint(w, int(last_tick[row]))
+                self.next_cp[w] = sent[w] + self.plans[w].checkpoint_every
+        episodes = (moved & (cut == flag_at + 1)).nonzero()[0]
+        for row in episodes.tolist():
+            w = int(live[row])
+            pos = flag_pos[row]
+            dlc = int(c_dlcs[pos])
+            self._episode(w, int(last_tick[row]), int(ids[cand[pos]]), dlc,
+                          bytes(c_data[pos, :dlc]), bool(c_unlock[pos]),
+                          bool(c_lock[pos]))
+            if self.states[w].finished:
+                alive[w] = False
+        return moved
+
+    def _frame_table(self, words, nxt_id, nxt_dlc, nxt_byte):
+        """Where the frame starting at each word ends.
+
+        ``next_frame`` draws an id (``_randbelow`` rejection), a DLC
+        (another), then the payload: ``randbytes`` -- no word for an
+        empty frame, one for up to 4 bytes, two beyond -- or one
+        ``randint`` rejection per byte for a narrowed byte range.
+        Returns ``(table, complete)``: ``table[r, i]`` is the column
+        after the frame starting at ``i`` (the sentinel column ``width``
+        where that frame does not fit in the window, and at the
+        sentinel itself), and ``complete[r, i]`` says it fits.
+        """
+        m, width = words.shape
+        cols = width + 1
+        flat = np.arange(0, m * cols, cols, dtype=np.int32)[:, None]
+        j2 = nxt_dlc.take(flat + np.minimum(nxt_id[:, :width] + 1, width))
+        got = j2 < width
+        # Rows without a DLC read a neighbour's word here; ``got``
+        # masks those frames out below.
+        dlc_idx = words.take(flat - np.arange(m, dtype=np.int32)[:, None]
+                             + j2, mode="clip") >> self.dlc_shift
+        if nxt_byte is None:
+            end = j2 + 1 + self.dlc_words.take(dlc_idx, mode="clip")
+        else:
+            dlcs = self.pool_dlcs.take(dlc_idx, mode="clip")
+            end = j2 + 1
+            for column in range(self.group_max_dlc):
+                at = nxt_byte.take(flat + np.minimum(end, width))
+                end = np.where(dlcs > column, at + 1, end)
+        complete = np.zeros((m, cols), dtype=bool)
+        complete[:, :width] = got & (end <= width)
+        table = np.full((m, cols), width, dtype=np.int32)
+        np.copyto(table[:, :width], end, where=complete[:, :width])
+        return table, complete
+
+    @staticmethod
+    def _chain(table: np.ndarray, complete: np.ndarray) -> np.ndarray:
+        """Flat indices of each row's whole frames, from column 0 on.
+
+        Pointer doubling: ``jump`` starts as the next-frame pointer and
+        squares each pass, so pass ``p`` adds the chain members
+        ``2**p .. 2**(p+1) - 1`` frames on -- about 13 passes for the
+        6,400-frame chain a width-1 window holds.
+        """
+        m, cols = table.shape
+        heads = np.arange(0, m * cols, cols)
+        ends = heads + (cols - 1)
+        # Native-width indices: numpy casts any other index dtype to
+        # intp on every gather.
+        jump = (table + heads[:, None]).ravel().astype(np.intp)
+        on = np.zeros(m * cols, dtype=bool)
+        on[heads] = True
+        while not (jump[heads] == ends).all():
+            on[jump[np.flatnonzero(on)]] = True
+            jump = jump[jump]
+        return np.flatnonzero(on & complete.ravel())
+
+    def _payloads(self, words, nxt_dlc, nxt_byte, rows, j1):
+        """(DLCs, zero-padded payload rows) of the frames whose id word
+        sits at ``words[rows, j1]``."""
+        width = words.shape[1]
+        j2 = nxt_dlc[rows, j1 + 1]
+        dlcs = self.pool_dlcs[words[rows, j2] >> self.dlc_shift]
+        if nxt_byte is None:
+            lo = words[rows, np.minimum(j2 + 1, width - 1)]
+            hi = words[rows, np.minimum(j2 + 2, width - 1)]
+            return dlcs, randbytes_rows(lo, hi, dlcs)
+        data = np.zeros((rows.size, 8), np.uint8)
+        at = j2 + 1
+        for column in range(self.group_max_dlc):
+            has = dlcs > column
+            pos = nxt_byte[rows, np.minimum(at, width)]
+            value = words[rows, np.minimum(pos, width - 1)] >> self.byte_shift
+            data[:, column] = np.where(has, self.byte_min + value, 0)
+            at = np.where(has, pos + 1, at)
+        return dlcs, data
+
+    def _flags(self, worlds, ids, dlcs, data):
+        """(unlock, lock, flagged) masks: the BCM's ``_matches`` check
+        per frame, plus the ids an ack oracle watches."""
+        d0 = data[:, 0]
+        d1 = data[:, 1]
+        mode = self.mode[worlds]
+        is_cmd = ids == self.body_id[worlds]
+        unlock = is_cmd & self._code_mask(mode, d0, d1, dlcs, 0x20)
+        lock = is_cmd & self._code_mask(mode, d0, d1, dlcs, 0x10)
+        flagged = unlock | lock
+        if self.any_watch:
+            flagged |= (ids[:, None] == self.watch[worlds]).any(axis=1)
+        return unlock, lock, flagged
 
     @staticmethod
     def _code_mask(mode, d0, d1, dlcs, code):
-        """The BCM ``_matches`` check, vectorised over one tick."""
+        """The BCM ``_matches`` check, vectorised over frames."""
         value = d0 == code
         return value & (((mode == 0) & (dlcs >= 1))
                         | ((mode == 1) & (dlcs == 7))
@@ -1001,11 +1148,15 @@ class _GroupEngine:
     # ------------------------------------------------------------------
     # World completion
     # ------------------------------------------------------------------
+    def _recent_rows(self, w: int) -> list:
+        """The ring window cut to the world's own recent-window length
+        (the ring is as long as the group's longest)."""
+        rows = self.ring.window(w)
+        return rows[max(0, len(rows) - self.plans[w].recent_maxlen):]
+
     def _window(self, w: int):
         plan = self.plans[w]
-        rows = self.ring.window(w)
-        if plan.recent_maxlen is not None:
-            rows = rows[-plan.recent_maxlen:]
+        rows = self._recent_rows(w)
         frames = tuple(trusted_frame(can_id, data, plan.extended, False)
                        for _, can_id, _, data in rows)
         times = tuple(time for time, _, _, _ in rows)
@@ -1064,7 +1215,7 @@ class _GroupEngine:
 
     def _write_checkpoint(self, w: int, tick: int) -> None:
         plan = self.plans[w]
-        rows = self.ring.window(w)[-plan.recent_maxlen:]
+        rows = self._recent_rows(w)
         recent = [[time,
                    frame_to_dict(trusted_frame(can_id, data, plan.extended,
                                                False))]

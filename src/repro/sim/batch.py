@@ -4,15 +4,20 @@ The scalar :class:`~repro.sim.kernel.Simulator` dispatches one Python
 closure per event; a fuzz campaign fires two to three events per frame,
 which caps throughput near the interpreter's call rate.  This module
 holds the primitives that let N independent campaign worlds advance in
-lockstep instead -- one numpy operation per tick across all worlds:
+bulk instead -- a few numpy operations per *block* of frames:
 
 - :class:`BatchRandom`: W CPython-``random.Random``-compatible MT19937
-  streams stored as struct-of-arrays word buffers.  Draw emulation is
-  *bit-exact*: ``randbelow``/``randbytes8`` consume exactly the 32-bit
-  words CPython's ``_randbelow``/``randbytes`` would, including
-  rejection re-draws, so a world's stream can be exported back into a
-  ``random.Random`` at any frame boundary (:meth:`BatchRandom.getstate`)
-  and continue scalar bit-identically.
+  streams, each buffered in twist-aligned blocks of raw 32-bit words.
+  Consumption is two-phase: :meth:`BatchRandom.window` hands out the
+  next words of many worlds as one array without consuming them, the
+  caller parses as many draws from it as it likes, and
+  :meth:`BatchRandom.commit` consumes exactly the words that parse
+  used.  The position is kept per word, so a world's stream can be
+  exported back into a ``random.Random`` at any word boundary
+  (:meth:`BatchRandom.getstate`) and continue scalar bit-identically.
+- :func:`next_accepted` and :func:`randbytes_rows`: CPython's two draw
+  shapes (``_randbelow`` rejection and ``randbytes``) spelled over a
+  window of raw words, so many draws parse in one vector operation.
 - :class:`FrameRing`: struct-of-arrays ring buffers for the per-world
   recent-transmit windows (ids, DLCs, payload bytes, timestamps).
 
@@ -22,6 +27,7 @@ that drives these arrays lives in :mod:`repro.fuzz.batch`.
 
 from __future__ import annotations
 
+import random
 from typing import Sequence
 
 import numpy as np
@@ -32,25 +38,7 @@ MT_N = 624
 #: CPython ``Random.getstate()`` version these streams speak.
 PY_STATE_VERSION = 3
 
-#: Buffered words examined per world in one vectorised rejection scan
-#: (``randbelow``).  Acceptance is always >= 50% (the shift keeps one
-#: bit of headroom at most), so six words leave under 2% of worlds to
-#: the scalar straggler path.
-_SCAN_WIDTH = 6
-
-_SCAN_OFFSETS = np.arange(_SCAN_WIDTH, dtype=np.int64)
-
 _BYTE_SHIFTS = np.arange(8, dtype=np.uint64) * np.uint64(8)
-
-_ARANGE = np.arange(256)
-
-
-def _row_index(count: int) -> np.ndarray:
-    """Cached ``arange(count)`` view for row-wise fancy indexing."""
-    global _ARANGE
-    if count > _ARANGE.size:
-        _ARANGE = np.arange(count)
-    return _ARANGE[:count]
 
 
 def state_from_random(rng) -> tuple:
@@ -72,15 +60,86 @@ def state_from_random(rng) -> tuple:
     return state
 
 
-class BatchRandom:
-    """W lockstep MT19937 streams, bit-exact with ``random.Random``.
+def _draw(source: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` raw words of ``source``, in draw order.
 
-    Internally each world holds a numpy ``MT19937`` bit generator plus
-    a refill buffer of raw ``genrand_uint32`` words.  Refills are
-    *twist-aligned* (never past the end of a 624-word block), so the
-    logical CPython state ``(key, pos)`` is reconstructible at any
-    word boundary: ``pos`` advances through the current key block and a
-    refill that crosses a twist swaps in the twisted key at ``pos 0``.
+    ``getrandbits`` assembles 32-bit words little-endian, so its bytes
+    are the word stream itself.
+    """
+    raw = source.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return np.frombuffer(raw, dtype="<u4")
+
+
+def _untemper(words: np.ndarray) -> np.ndarray:
+    """Invert MT19937's output tempering: one block of raw outputs back
+    into the key words that produced them."""
+    y = words.astype(np.uint32)
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y.copy()
+    for _ in range(4):  # each pass recovers seven more low bits
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    return x ^ (x >> 11) ^ (x >> 22)
+
+
+def next_accepted(words: np.ndarray, n: int) -> np.ndarray:
+    """Where a ``_randbelow(n)`` draw starting at each word lands.
+
+    ``words`` is a window of raw words, one row per stream.  Entry
+    ``[r, i]`` of the result is the first column ``j >= i`` whose word
+    CPython's ``_randbelow_with_getrandbits(n)`` accepts (``words[r, j]
+    >> (32 - n.bit_length()) < n``), or the row width when none does.
+    One extra column holds that sentinel, so a lookup one past the
+    window also lands on it.
+    """
+    if not 0 < n.bit_length() <= 32:
+        raise ValueError(f"next_accepted needs 0 < n < 2**32, got {n}")
+    rows, width = words.shape
+    accepted = (words >> (32 - n.bit_length())) < n
+    columns = np.where(accepted, np.arange(width, dtype=np.int32),
+                       np.int32(width))
+    out = np.empty((rows, width + 1), dtype=np.int32)
+    out[:, width] = width
+    np.minimum.accumulate(columns[:, ::-1], axis=1,
+                          out=out[:, width - 1::-1])
+    return out
+
+
+def randbytes_rows(lo: np.ndarray, hi: np.ndarray,
+                   lengths: np.ndarray) -> np.ndarray:
+    """``Random.randbytes(length)`` from the words it would draw.
+
+    ``lo`` and ``hi`` are the first and second raw words after the
+    call's start; ``lengths`` are 0..8.  CPython draws no word for 0
+    bytes, one for 1-4 and two for 5-8 (little-endian, the last word
+    truncated from the top), so unused words are ignored.  Rows come
+    back zero-padded to 8 columns.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    narrow = np.minimum(lengths, 4)
+    value = lo.astype(np.uint64) >> (32 - 8 * narrow).astype(np.uint64)
+    hi_shift = np.where(lengths > 4, 64 - 8 * lengths, 32)
+    value |= (hi.astype(np.uint64) >> hi_shift.astype(np.uint64)) \
+        << np.uint64(32)
+    # A row's value holds exactly 8*length random bits, so byte
+    # columns at and beyond the length unpack to zero on their own.
+    return ((value[:, None] >> _BYTE_SHIFTS) & np.uint64(0xFF)) \
+        .astype(np.uint8)
+
+
+class BatchRandom:
+    """W independent MT19937 streams, bit-exact with ``random.Random``.
+
+    Each world owns a private ``random.Random`` word source and a buffer
+    of its raw ``genrand_uint32`` words.  (Drawing from CPython rather
+    than numpy's ``MT19937`` keeps ``numpy.random``, about 1.7 MB
+    resident, out of the process.)  Refills are *twist-aligned*: the
+    first runs to the end of the transplanted key's block, every later
+    one appends whole 624-word blocks, so each buffered block past the
+    first is the complete tempered output of one MT key.  The logical
+    CPython state ``(key, pos)`` is therefore reconstructible at any
+    word: ``pos`` is one past the last consumed word's offset in its
+    block, and ``key`` is the transplanted key or that block untempered.
     """
 
     def __init__(self, states: Sequence[tuple]) -> None:
@@ -88,188 +147,146 @@ class BatchRandom:
         if worlds == 0:
             raise ValueError("BatchRandom needs at least one world")
         self.worlds = worlds
-        self._bitgens: list[np.random.MT19937] = []
+        self._sources: list[random.Random] = []
+        #: Buffered words per world, from the start of the block that
+        #: holds the last consumed word (or the transplant point).
+        self._words: list[np.ndarray] = []
+        #: Block offset of each buffer's first word: the transplanted
+        #: ``pos`` until that block is dropped, 0 afterwards.
         self._base_pos = np.zeros(worlds, dtype=np.int64)
-        # The bit generator's own block position, tracked here so a
-        # refill never has to read ``bitgen.state`` back (that property
-        # rebuilds the full 624-word state dict on every access).
-        self._mt_pos = np.zeros(worlds, dtype=np.int64)
-        self._buf = np.zeros((worlds, MT_N), dtype=np.uint32)
-        self._buf_len = np.zeros(worlds, dtype=np.int64)
-        self._buf_pos = np.zeros(worlds, dtype=np.int64)
+        #: Words of each buffer consumed so far.
+        self._pos = np.zeros(worlds, dtype=np.int64)
+        #: The transplanted key while a buffer still starts in its block.
+        self._key0: list[np.ndarray | None] = []
         for world, state in enumerate(states):
             version, internal, gauss_next = state
             if (version != PY_STATE_VERSION or len(internal) != MT_N + 1
                     or gauss_next is not None):
                 raise ValueError(f"world {world}: not a plain version-3 "
                                  f"MT19937 state")
-            key = np.array(internal[:MT_N], dtype=np.uint32)
             pos = int(internal[MT_N])
-            bitgen = np.random.MT19937()
-            bitgen.state = {"bit_generator": "MT19937",
-                            "state": {"key": key.astype(np.uint64),
-                                      "pos": pos}}
-            self._bitgens.append(bitgen)
+            source = random.Random()
+            source.setstate(state)
+            self._sources.append(source)
+            self._words.append(_draw(source, MT_N - pos))
             self._base_pos[world] = pos
-            self._mt_pos[world] = pos
+            self._key0.append(np.array(internal[:MT_N], dtype=np.uint32))
 
     @classmethod
     def from_randoms(cls, rngs: Sequence) -> "BatchRandom":
         """Transplant live ``random.Random`` instances."""
         return cls([state_from_random(rng) for rng in rngs])
 
-    def _refill(self, world: int) -> None:
-        """Buffer raw words up to (never past) the next twist.
+    def _ensure(self, world: int, count: int) -> None:
+        """Buffer at least ``count`` unconsumed words for ``world``.
 
-        Afterwards the bit generator sits exactly at its block end, so
-        its key -- read lazily by :meth:`getstate` -- is the buffered
-        block's key for the whole life of the buffer.
+        Blocks before the one holding the last consumed word are
+        dropped first (:meth:`getstate` untempers that block for its
+        key); new words arrive in whole blocks, since the source always
+        sits at a block end.
         """
-        bitgen = self._bitgens[world]
-        pos = self._mt_pos[world]
-        count = MT_N - pos if pos < MT_N else MT_N
-        self._buf[world, :count] = bitgen.random_raw(int(count))
-        self._base_pos[world] = pos if pos < MT_N else 0
-        self._mt_pos[world] = MT_N
-        self._buf_len[world] = count
-        self._buf_pos[world] = 0
+        words = self._words[world]
+        pos = int(self._pos[world])
+        missing = count - (words.size - pos)
+        if missing <= 0:
+            return
+        if pos:
+            base = int(self._base_pos[world])
+            drop = (base + pos - 1) // MT_N * MT_N - base
+            if drop > 0:
+                words = words[drop:]
+                self._pos[world] = pos - drop
+                self._base_pos[world] = 0
+                self._key0[world] = None
+        fresh = _draw(self._sources[world], -(-missing // MT_N) * MT_N)
+        self._words[world] = np.concatenate((words, fresh))
 
-    def _draw_one(self, world: int) -> int:
-        """One raw word for one world (scalar path for rare cases)."""
-        pos = self._buf_pos[world]
-        if pos >= self._buf_len[world]:
-            self._refill(world)
-            pos = 0
-        self._buf_pos[world] = pos + 1
-        return int(self._buf[world, pos])
+    def window(self, idx: np.ndarray, count: int) -> np.ndarray:
+        """The next ``count`` raw words of each world in ``idx``.
 
-    def next_words(self, idx: np.ndarray) -> np.ndarray:
-        """One raw 32-bit word per world in ``idx`` (uint32 values).
-
-        ``idx`` may repeat a world only across *calls*, not within one
-        -- a call draws exactly one word per listed world.
+        One row per listed world, uint32.  Nothing is consumed: the
+        caller parses the rows and hands :meth:`commit` the number of
+        words each parse used.
         """
-        buf_pos = self._buf_pos
-        pos = buf_pos[idx]
-        exhausted = pos >= self._buf_len[idx]
-        if exhausted.any():
-            for world in idx[exhausted]:
-                self._refill(int(world))
-            pos = buf_pos[idx]
-        out = self._buf[idx, pos]
-        buf_pos[idx] = pos + 1
+        out = np.empty((len(idx), count), dtype=np.uint32)
+        starts = self._pos[idx].tolist()
+        for row, world in enumerate(idx.tolist()):
+            words = self._words[world]
+            start = starts[row]
+            if words.size - start < count:
+                self._ensure(world, count)
+                words = self._words[world]
+                start = int(self._pos[world])
+            out[row] = words[start:start + count]
         return out
 
-    def randbelow(self, idx: np.ndarray, n: int) -> np.ndarray:
-        """``Random._randbelow(n)`` for each world in ``idx``.
-
-        Rejection sampling draws per-world until the value lands below
-        ``n`` -- the identical word consumption as CPython.  The
-        geometric tail of stragglers drops to a scalar loop once few
-        worlds remain: each vectorised round costs the same fixed
-        overhead whether it redraws thirty worlds or one.
-        """
-        if n <= 0:
-            raise ValueError(f"randbelow needs n > 0, got {n}")
-        shift = 32 - n.bit_length()
-        rows = _row_index(idx.size)
-        pos = self._buf_pos[idx]
-        offsets = pos[:, None] + _SCAN_OFFSETS
-        usable = offsets < self._buf_len[idx, None]
-        np.minimum(offsets, MT_N - 1, out=offsets)
-        window = self._buf[idx[:, None], offsets] >> shift
-        accepted = (window < n) & usable
-        first = accepted.argmax(axis=1)
-        out = window[rows, first]
-        hit = accepted[rows, first]
-        winners = hit.nonzero()[0]
-        self._buf_pos[idx[winners]] = pos[winners] + first[winners] + 1
-        if winners.size != idx.size:
-            # Straggler path: every usable window word was a rejection
-            # (or the buffer ran dry).  Those words are consumed in one
-            # jump -- rescanning them one by one would only reject each
-            # again -- then the scalar loop continues past the window.
-            for slot in (~hit).nonzero()[0]:
-                world = int(idx[slot])
-                self._buf_pos[world] += int(np.count_nonzero(usable[slot]))
-                value = self._draw_one(world) >> shift
-                while value >= n:
-                    value = self._draw_one(world) >> shift
-                out[slot] = value
-        return out
-
-    def randbytes8(self, idx: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """``Random.randbytes(length)`` per world, zero-padded to 8 columns.
-
-        ``lengths`` must be 0..8 (one classic CAN payload per world).
-        Word consumption matches CPython exactly: zero-length draws no
-        word, 1-4 bytes one word, 5-8 bytes two.
-        """
-        count = idx.size
-        lengths = np.asarray(lengths, dtype=np.int64)
-        value = np.zeros(count, dtype=np.uint64)
-        has_bytes = lengths >= 1
-        some = has_bytes.nonzero()[0]
-        if some.size:
-            value[some] = self.next_words(idx[some])
-        wide = (lengths >= 5).nonzero()[0]
-        if wide.size:
-            hi = self.next_words(idx[wide]).astype(np.uint64)
-            value[wide] |= (hi >> (64 - 8 * lengths[wide]).astype(
-                np.uint64)) << np.uint64(32)
-        narrow = (has_bytes & (lengths <= 4)).nonzero()[0]
-        if narrow.size:
-            value[narrow] >>= (32 - 8 * lengths[narrow]).astype(np.uint64)
-        # A world's value holds exactly 8*length random bits, so byte
-        # columns at and beyond the length unpack to zero on their own.
-        return ((value[:, None] >> _BYTE_SHIFTS)
-                & np.uint64(0xFF)).astype(np.uint8)
+    def commit(self, idx: np.ndarray, counts: np.ndarray) -> None:
+        """Consume ``counts[i]`` words of world ``idx[i]`` -- at most
+        what the last :meth:`window` showed it."""
+        self._pos[idx] += counts
 
     def getstate(self, world: int) -> tuple:
         """The world's logical ``random.Random.getstate()`` tuple.
 
         Feeding this to ``Random.setstate`` yields a scalar stream that
-        continues bit-identically from the words consumed so far.  The
-        key is read from the bit generator here (a rare, export-time
-        cost): after any refill it is exactly the buffered block's key,
-        and before the first refill it is the transplanted key.
+        continues bit-identically from the words consumed so far -- at
+        a block end the position reads 624 under the finished block's
+        key, exactly as CPython defers its twist to the next draw.
         """
-        pos = int(self._base_pos[world] + self._buf_pos[world])
-        state_key = self._bitgens[world].state["state"]["key"]
-        key = tuple(int(word) for word in state_key)
-        return (PY_STATE_VERSION, key + (pos,), None)
+        base = int(self._base_pos[world])
+        pos = int(self._pos[world])
+        if pos == 0:
+            block, state_pos = 0, base
+        else:
+            block, offset = divmod(base + pos - 1, MT_N)
+            state_pos = offset + 1
+        key = self._key0[world]
+        if block or key is None:
+            start = block * MT_N - base
+            key = _untemper(self._words[world][start:start + MT_N])
+        return (PY_STATE_VERSION, tuple(key.tolist()) + (state_pos,), None)
 
 
 class BatchRandomView:
     """A ``random.Random``-compatible facade over one world's stream.
 
     The frame-level engine consumes :class:`BatchRandom` words through
-    vectorised bulk calls; the request-level UDS engine instead hands
-    each world's *generator object* a view of its own stream, so the
-    scalar generator code runs unmodified while the words still come
-    from (and are accounted against) the shared lockstep state.  Every
-    method reproduces CPython's word consumption exactly -- including
+    bulk windows; the request-level UDS engine instead hands each
+    world's *generator object* a view of its own stream, so the scalar
+    generator code runs unmodified while the words still come from
+    (and are accounted against) the shared batch state.  Every method
+    reproduces CPython's word consumption exactly -- including
     ``getrandbits(0)`` drawing nothing and ``_randbelow`` rejection
     redraws -- so :meth:`getstate` stays exportable at any boundary and
     a ``random.Random`` seeded with it continues bit-identically.
 
     The view owns its world's position while installed: the buffered
-    block is mirrored once into a plain Python list and words are
-    served by list index (numpy scalar indexing per draw costs more
-    than the whole analytic exchange it feeds), with the position
-    flushed back to the shared state on :meth:`getstate` and on every
-    refill.  A world driven through a view must therefore not also be
-    drawn through the vectorised bulk calls.
+    words are mirrored once into a plain Python list and served by list
+    index (numpy scalar indexing per draw costs more than the whole
+    analytic exchange it feeds), with the position flushed back to the
+    shared state on :meth:`getstate` and on every refill.  A world
+    driven through a view must therefore not also be drawn through
+    :meth:`BatchRandom.window`.
     """
 
-    __slots__ = ("_batch", "_world", "_words", "_pos", "_end")
+    __slots__ = ("_batch", "_world", "_words", "_pos", "_end", "_start")
 
     def __init__(self, batch: BatchRandom, world: int) -> None:
         self._batch = batch
         self._world = world
-        self._words = batch._buf[world, :batch._buf_len[world]].tolist()
-        self._pos = int(batch._buf_pos[world])
+        self._mirror()
+
+    def _mirror(self) -> None:
+        """Copy the world's unconsumed buffered words into the list."""
+        batch, world = self._batch, self._world
+        batch._ensure(world, 1)
+        self._start = int(batch._pos[world])
+        self._words = batch._words[world][self._start:].tolist()
+        self._pos = 0
         self._end = len(self._words)
+
+    def _flush(self) -> None:
+        self._batch._pos[self._world] = self._start + self._pos
 
     def _word(self) -> int:
         pos = self._pos
@@ -279,13 +296,10 @@ class BatchRandomView:
         return self._words[pos]
 
     def _word_slow(self) -> int:
-        batch, world = self._batch, self._world
-        batch._buf_pos[world] = self._pos
-        value = batch._draw_one(world)      # refills the shared buffer
-        self._words = batch._buf[world, :batch._buf_len[world]].tolist()
-        self._pos = int(batch._buf_pos[world])
-        self._end = len(self._words)
-        return value
+        self._flush()
+        self._mirror()                      # refills the shared buffer
+        self._pos = 1
+        return self._words[0]
 
     def random(self) -> float:
         """CPython ``genrand_res53``: 53 bits from two raw words."""
@@ -408,16 +422,17 @@ class BatchRandomView:
                 return seq[r]
 
     def getstate(self) -> tuple:
-        self._batch._buf_pos[self._world] = self._pos
+        self._flush()
         return self._batch.getstate(self._world)
 
 
 class FrameRing:
     """Struct-of-arrays ring buffers for per-world recent-frame windows.
 
-    One ``append`` writes a whole vector of frames (one per listed
-    world) into fixed-size rings; :meth:`window` reads one world's
-    window back in oldest-first order for result assembly.
+    :meth:`append` pushes one frame per listed world and :meth:`store`
+    writes a whole block of frames by sequence number; :meth:`window`
+    reads one world's window back in oldest-first order for result
+    assembly.
     """
 
     def __init__(self, worlds: int, capacity: int) -> None:
@@ -433,12 +448,23 @@ class FrameRing:
     def append(self, idx: np.ndarray, times: np.ndarray, ids: np.ndarray,
                dlcs: np.ndarray, data: np.ndarray) -> None:
         """Push one frame per world in ``idx`` (vectorised)."""
-        slot = self.filled[idx] % self.capacity
+        self.store(idx, self.filled[idx], times, ids, dlcs, data)
+        self.filled[idx] += 1
+
+    def store(self, idx: np.ndarray, seq: np.ndarray, times: np.ndarray,
+              ids: np.ndarray, dlcs: np.ndarray, data: np.ndarray) -> None:
+        """Write frames by sequence number, without advancing ``filled``.
+
+        ``seq[j]`` counts the frames world ``idx[j]`` pushed before
+        this one.  No two entries may share a world's ring slot, so a
+        block longer than the ring passes only its newest ``capacity``
+        frames; the caller then adds the block length to ``filled``.
+        """
+        slot = seq % self.capacity
         self.times[idx, slot] = times
         self.ids[idx, slot] = ids
         self.dlcs[idx, slot] = dlcs
         self.data[idx, slot] = data
-        self.filled[idx] += 1
 
     def seed(self, world: int, entries) -> None:
         """Preload one world's window (oldest first) from a resume."""

@@ -9,7 +9,9 @@ increased to 1959 seconds."
 
 :class:`UnlockExperiment` runs N independent trials per BCM check
 mode; each trial is a fresh bench, a fresh fuzzer stream and a
-campaign that stops at the first unlock acknowledgement.
+campaign that stops at the first unlock acknowledgement, run on the
+lockstep engine (:mod:`repro.fuzz.batch`) with the scalar kernel as
+its bit-identical reference.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.fuzz.config import FuzzConfig
 from repro.fuzz.coverage import expected_unlock_seconds
 from repro.fuzz.generator import RandomFrameGenerator
 from repro.fuzz.oracle import AckMessageOracle, PhysicalStateOracle
+from repro.fuzz.session import FuzzResult
 from repro.sim.clock import MS, SECOND
 from repro.sim.random import RandomStreams
 from repro.testbench.bcm import UNLOCK_ACK_ID
@@ -99,6 +102,19 @@ class UnlockExperiment:
     # ------------------------------------------------------------------
     def run_trial(self, trial: int) -> TrialOutcome:
         """One independent blind-fuzz trial on a fresh bench."""
+        return self.trial_result(trial)[0]
+
+    def trial_result(self, trial: int, *, scalar: bool = False
+                     ) -> tuple[TrialOutcome, FuzzResult]:
+        """Trial ``trial``'s outcome and campaign result.
+
+        The world runs on the lockstep engine, which returns the scalar
+        kernel's exact result (or runs the world scalar itself when it
+        cannot prove that); ``scalar=True`` runs it on the scalar
+        kernel directly, the reference the engine must match bit for
+        bit.  The engine never touches the bench, so its unlock is read
+        off the result: every finding here is the unlock.
+        """
         streams = RandomStreams(self.seed).fork(f"trial-{trial}")
         bench = UnlockTestbench(seed=self.seed,
                                 check_mode=self.check_mode,
@@ -126,14 +142,25 @@ class UnlockExperiment:
             oracles=[ack_oracle, led_oracle],
             interval=self.interval,
             name=f"unlock-{self.check_mode}-trial{trial}")
-        result = campaign.run()
-        unlocked = not bench.bcm.locked
-        return TrialOutcome(
+        if scalar:
+            result = campaign.run()
+            unlocked = not bench.bcm.locked
+        else:
+            # Imported on use: building a bench never needs the engine,
+            # so the set-up path does not pay for importing it.
+            from repro.fuzz.batch import BatchCampaign
+
+            batch = BatchCampaign([campaign], benches=[bench])
+            result = batch.run()[0]
+            unlocked = (not bench.bcm.locked if batch.fallback_reasons
+                        else bool(result.findings))
+        outcome = TrialOutcome(
             trial=trial,
             unlocked=unlocked,
             seconds_to_unlock=(result.first_finding_seconds
                                if unlocked else None),
             frames_sent=result.frames_sent)
+        return outcome, result
 
     # ------------------------------------------------------------------
     # Full row

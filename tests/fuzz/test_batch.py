@@ -12,10 +12,12 @@ durability and the sharded runner's batched workers.
 import json
 import random
 import shutil
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.fuzz import batch as batch_module
 from repro.fuzz.batch import BatchCampaign, run_shard_batch
 from repro.fuzz.campaign import CampaignLimits, FuzzCampaign, resume_campaign
 from repro.fuzz.config import FuzzConfig
@@ -23,13 +25,14 @@ from repro.fuzz.durability import CampaignJournal, DirectoryStore, scan_records
 from repro.fuzz.generator import RandomFrameGenerator
 from repro.fuzz.oracle import AckMessageOracle, PhysicalStateOracle
 from repro.fuzz.parallel import ShardSpec, ShardedCampaign, derive_shard_seed
+from repro.sim.batch import MT_N, BatchRandom
 from repro.sim.clock import MS
 from repro.testbench.bcm import STATUS_ID, UNLOCK_ACK_ID
 from repro.testbench.bench import UnlockTestbench
 from repro.testbench.factory import UnlockBenchFactory, _unlock_ack
 
 
-def build_world(kind, seed, mode="byte", max_frames=4000):
+def build_world(kind, seed, mode="byte", max_frames=4000, recent_window=32):
     """One deterministic campaign world; call twice for twin copies."""
     if kind == "factory":
         factory = UnlockBenchFactory(check_mode=mode)
@@ -71,6 +74,7 @@ def build_world(kind, seed, mode="byte", max_frames=4000):
         limits = CampaignLimits(max_frames=max_frames)
     campaign = FuzzCampaign(bench.sim, adapter, generator, limits=limits,
                             oracles=oracles, interval=1 * MS,
+                            recent_window=recent_window,
                             name=f"{kind}-{mode}-{seed}")
     campaign.bench = bench
     return campaign
@@ -334,3 +338,123 @@ class TestHypothesisParity:
             journal_infos=[(None, str(batch_dir), checkpoint_every)])
         assert resumed[0][0].to_dict() == control.to_dict()
         assert read_records(batch_dir) == read_records(tmp_path / "ctl")
+
+
+def scalar_twin_dicts(builders):
+    return [build().run().to_dict() for build in builders]
+
+
+def batched_dicts(builders):
+    batch = BatchCampaign([build() for build in builders])
+    dicts = [result.to_dict() for result in batch.run()]
+    assert batch.fallback_reasons == {}
+    return dicts
+
+
+class TestTimeBlockedEdges:
+    """The engine parses each world's upcoming RNG words in blocks cut
+    at the first finding, checkpoint, step limit or window end.  Tiny
+    round budgets put every one of those edges -- and MT twists -- on a
+    block boundary; results must not move."""
+
+    KINDS = ["ack", "led", "status", "narrow", "factory"]
+
+    def test_tiny_budgets_match_scalar_and_hit_twist_edges(self):
+        builders = [lambda kind=kind, seed=seed: build_world(
+                        kind, seed, max_frames=600)
+                    for seed, kind in enumerate(self.KINDS)]
+        want = scalar_twin_dicts(builders)
+        edges = []
+        real_commit = BatchRandom.commit
+
+        def spy(self, idx, counts):
+            real_commit(self, idx, counts)
+            edges.extend(self.getstate(int(w))[1][-1]
+                         for w, c in zip(idx, counts) if c)
+
+        with mock.patch.object(BatchRandom, "commit", spy):
+            for budget in (1, 7, 31, 624, 625):
+                edges.clear()
+                with mock.patch.object(batch_module, "ROUND_WORDS", budget):
+                    assert batched_dicts(builders) == want, budget
+                if budget == 1:
+                    # One word per world per round: nearly every frame
+                    # is its own block, so blocks end on twists too.
+                    assert MT_N in edges
+
+    def test_journal_checkpoints_on_block_edges(self, tmp_path):
+        specs = [journal_spec(i, max_frames=900) for i in range(3)]
+        for spec in specs:
+            journal = CampaignJournal(DirectoryStore(
+                str(tmp_path / f"scalar/shard-{spec.index:04d}")))
+            FuzzCampaign.resume(journal, lambda spec=spec:
+                                journal_build(spec), checkpoint_every=97)
+        infos = [(None, str(tmp_path / f"batch/shard-{s.index:04d}"), 97)
+                 for s in specs]
+        with mock.patch.object(batch_module, "ROUND_WORDS", 13):
+            run_shard_batch(journal_build, specs, journal_infos=infos)
+        for spec in specs:
+            shard = f"shard-{spec.index:04d}"
+            assert (read_records(tmp_path / "scalar" / shard)
+                    == read_records(tmp_path / "batch" / shard))
+            stores = [DirectoryStore(str(tmp_path / side / shard))
+                      for side in ("scalar", "batch")]
+            for name in (CampaignJournal.CHECKPOINT, CampaignJournal.RESULT):
+                scalar_file, batch_file = (store.read(name)
+                                           for store in stores)
+                assert json.loads(scalar_file) == json.loads(batch_file)
+
+    def test_worlds_finishing_in_different_rounds(self):
+        # Uneven caps and stop-on-finding worlds: the live width decays
+        # round by round, which must not disturb the survivors.
+        # One draw-compatible group, so every window call is its own.
+        shapes = [("ack", 0, 50), ("led", 1, 4000), ("led", 2, 700),
+                  ("ack", 3, 2500), ("status", 4, 3000), ("ack", 5, 120)]
+        builders = [lambda shape=shape: build_world(shape[0], shape[1],
+                                                    max_frames=shape[2])
+                    for shape in shapes]
+        want = scalar_twin_dicts(builders)
+        widths = []
+        real_window = BatchRandom.window
+
+        def spy(self, idx, count):
+            widths.append(len(idx))
+            return real_window(self, idx, count)
+
+        with mock.patch.object(BatchRandom, "window", spy), \
+                mock.patch.object(batch_module, "ROUND_WORDS", 256):
+            assert batched_dicts(builders) == want
+        assert len(set(widths)) >= 4
+        assert widths == sorted(widths, reverse=True)
+
+    @settings(max_examples=8, deadline=None)
+    @given(seeds=st.lists(st.integers(min_value=0, max_value=999),
+                          min_size=1, max_size=3, unique=True),
+           kind=st.sampled_from(KINDS),
+           budget=st.integers(min_value=1, max_value=2000),
+           max_frames=st.integers(min_value=1, max_value=900))
+    def test_random_budgets_match_scalar(self, seeds, kind, budget,
+                                         max_frames):
+        builders = [lambda seed=seed: build_world(kind, seed,
+                                                  max_frames=max_frames)
+                    for seed in seeds]
+        want = scalar_twin_dicts(builders)
+        with mock.patch.object(batch_module, "ROUND_WORDS", budget):
+            assert batched_dicts(builders) == want
+
+
+class TestRecentWindowShapes:
+    def build(self, seed, recent_window):
+        return build_world("ack", seed, max_frames=3000,
+                           recent_window=recent_window)
+
+    def test_unbounded_window_falls_back_and_matches_scalar(self):
+        want = self.build(0, None).run().to_dict()
+        batch = BatchCampaign([self.build(0, None)])
+        assert batch.run()[0].to_dict() == want
+        assert "unbounded recent window" in batch.fallback_reasons[0]
+
+    def test_mixed_window_lengths_in_one_group(self):
+        builders = [lambda seed=seed, size=size: self.build(seed, size)
+                    for seed, size in ((0, 0), (1, 5), (2, 32))]
+        assert batched_dicts(builders) == scalar_twin_dicts(builders)

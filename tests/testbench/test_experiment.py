@@ -67,3 +67,27 @@ class TestSmallSample:
         assert len(row.times_seconds) + row.timeouts == 3
         assert row.times_seconds, "at least one trial should unlock"
         assert row.label == ROW_LABELS["byte"]
+
+
+class TestEngineParity:
+    """``run_trial`` goes through the lockstep engine; the scalar
+    kernel is the reference it must reproduce bit for bit."""
+
+    # (check mode, seed, cap in simulated seconds): the byte and
+    # byte+dlc worlds unlock inside their caps (at 32.7 s and 78.6 s,
+    # after lock and unlock commands on the way); the two-byte world
+    # runs to its cap.
+    CASES = [("byte", 6, 40.0), ("byte+dlc", 17, 90.0),
+             ("two-byte", 0, 20.0)]
+
+    @pytest.mark.parametrize("mode,seed,cap", CASES)
+    def test_capped_trial_matches_scalar(self, mode, seed, cap):
+        experiment = UnlockExperiment(check_mode=mode, seed=seed,
+                                      trial_timeout_seconds=cap)
+        outcome, result = experiment.trial_result(0)
+        want_outcome, want = experiment.trial_result(0, scalar=True)
+        assert outcome == want_outcome
+        assert result.to_dict() == want.to_dict()
+        assert result.fallback_reasons == []
+        assert experiment.run_trial(0) == want_outcome
+        assert outcome.unlocked == (mode != "two-byte")
