@@ -14,9 +14,9 @@ sample means sit within one sigma).  The *shape* claims checked here:
 2. adding the DLC check slows the fuzzer down by a large factor
    (analytically 8x; the paper measured 4.5x on its small sample).
 
-Trials run in simulated time (~35 min wall for the full 12+12 at
-~40 k frames/s); set REPRO_TABLE5_TRIALS to lower the sample size for
-smoke runs.
+Trials run in simulated time on the lockstep batch engine (about one
+minute of wall time for the full 12+12 on one x86_64 core); set
+REPRO_TABLE5_TRIALS to lower the sample size for smoke runs.
 """
 
 import statistics

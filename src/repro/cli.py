@@ -89,41 +89,38 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     return 0
 
 
-def _minimize_finding(finding, *, check_mode: str, seed: int) -> dict:
-    """Minimise one finding's window with the snapshot replayer.
+def _minimize_finding(finding, replayer, steps, encode) -> dict:
+    """Minimise one finding's recorded steps with a snapshot replayer.
 
-    Returns a JSON-ready record: the minimised frames, the ddmin probe
-    counts, and the replayer's checkpoint counters.  A window that does
-    not reproduce on the replay grid is reported as such rather than
-    aborting the run (replay is best-effort forensics).
+    Returns a JSON-ready record: the minimised steps (each rendered by
+    ``encode``), the ddmin probe counts, and the replayer's checkpoint
+    counters; step keys are named after the replayer's unit
+    (``window_frames``/``minimized_frames`` or the ``requests`` pair).
+    A window that does not reproduce on the replay grid is reported as
+    such rather than aborting the run (replay is best-effort
+    forensics).
     """
-    from repro.fuzz import MinimizeStats, SnapshotReplayer
-    from repro.fuzz.session import frame_to_dict
-    from repro.testbench import UnlockReplayFactory
+    from repro.fuzz import MinimizeStats
 
-    replayer = SnapshotReplayer(
-        UnlockReplayFactory(check_mode=check_mode, seed=seed,
-                            monitor_limit=64))
     record = {
         "oracle": finding.oracle,
         "time": finding.time,
-        "window_frames": len(finding.recent_frames),
+        f"window_{replayer.unit}": len(steps),
         "reproduced": False,
     }
     stats = MinimizeStats()
     try:
-        minimal = replayer.minimize(list(finding.recent_frames),
-                                    stats=stats)
+        minimal = replayer.minimize(list(steps), stats=stats)
     except ValueError:
         return record
-    record.update(
-        reproduced=True,
-        minimized_frames=[frame_to_dict(frame) for frame in minimal],
-        probes=stats.tests_used,
-        probe_cache_hits=stats.cache_hits,
-        exhausted=stats.exhausted,
-        replayer=replayer.stats(),
-    )
+    record.update({
+        "reproduced": True,
+        f"minimized_{replayer.unit}": [encode(step) for step in minimal],
+        "probes": stats.tests_used,
+        "probe_cache_hits": stats.cache_hits,
+        "exhausted": stats.exhausted,
+        "replayer": replayer.stats(),
+    })
     return record
 
 
@@ -173,14 +170,19 @@ def _channel_config(args: argparse.Namespace):
     return ChannelConfig(ber=ber, ack_loss=args.ack_loss)
 
 
+def _replay_factory(check_mode: str, seed: int):
+    """The clean unlock bench frame findings are replayed against."""
+    from repro.testbench import UnlockReplayFactory
+
+    return UnlockReplayFactory(check_mode=check_mode, seed=seed,
+                               monitor_limit=64)
+
+
 def _confirm_findings(findings, *, check_mode: str, seed: int):
     """Clean-channel replay confirmation for noisy-campaign findings."""
     from repro.fuzz import confirm_findings
-    from repro.testbench import UnlockReplayFactory
 
-    report = confirm_findings(
-        findings, UnlockReplayFactory(check_mode=check_mode, seed=seed,
-                                      monitor_limit=64))
+    report = confirm_findings(findings, _replay_factory(check_mode, seed))
     print(f"clean-channel confirmation: {len(report.confirmed)} "
           f"confirmed, {report.noise_filtered} noise artefact(s) filtered")
     return report
@@ -189,7 +191,9 @@ def _confirm_findings(findings, *, check_mode: str, seed: int):
 def _cmd_fuzz_bench(args: argparse.Namespace) -> int:
     from repro.fuzz import (AckMessageOracle, CampaignLimits,
                             CampaignSupervisor, FuzzCampaign, FuzzConfig,
-                            PhysicalStateOracle, RandomFrameGenerator)
+                            PhysicalStateOracle, RandomFrameGenerator,
+                            SnapshotReplayer)
+    from repro.fuzz.session import frame_to_dict
     from repro.sim.random import RandomStreams
     from repro.testbench import UNLOCK_ACK_ID, UnlockTestbench
 
@@ -272,10 +276,10 @@ def _cmd_fuzz_bench(args: argparse.Namespace) -> int:
         findings = confirmation.confirmed
     minimized = None
     if args.minimize:
-        minimized = [_minimize_finding(finding,
-                                       check_mode=args.check_mode,
-                                       seed=args.seed)
-                     for finding in findings]
+        minimized = [_minimize_finding(
+            finding, SnapshotReplayer(_replay_factory(args.check_mode,
+                                                      args.seed)),
+            finding.recent_frames, frame_to_dict) for finding in findings]
         _print_minimized(minimized)
     if args.report:
         payload = {
@@ -307,7 +311,8 @@ def _run_sharded_bench(args: argparse.Namespace, channel_config) -> int:
     gets its own supervised adversarial channel (seeded per shard),
     and findings are confirmed against their shard's clean build.
     """
-    from repro.fuzz import CampaignLimits, ShardedCampaign
+    from repro.fuzz import CampaignLimits, ShardedCampaign, SnapshotReplayer
+    from repro.fuzz.session import frame_to_dict
     from repro.testbench import UnlockBenchFactory
 
     try:
@@ -347,9 +352,10 @@ def _run_sharded_bench(args: argparse.Namespace, channel_config) -> int:
     if args.minimize:
         minimized = []
         for shard_index, shard_seed, finding in findings_with_seeds:
-            record = _minimize_finding(finding,
-                                       check_mode=args.check_mode,
-                                       seed=shard_seed)
+            record = _minimize_finding(
+                finding, SnapshotReplayer(_replay_factory(args.check_mode,
+                                                          shard_seed)),
+                finding.recent_frames, frame_to_dict)
             record["shard"] = shard_index
             record["shard_seed"] = shard_seed
             minimized.append(record)
@@ -378,43 +384,11 @@ def _run_sharded_bench(args: argparse.Namespace, channel_config) -> int:
     return 0 if merged.ok and findings_with_seeds else 1
 
 
-def _minimize_uds_finding(finding, *, seed: int,
-                          key_algorithm: int | None) -> dict:
-    """Minimise one UDS finding's request record by snapshot replay."""
-    from repro.fuzz import MinimizeStats
-    from repro.testbench import UdsReplayFactory
-    from repro.uds.replay import UdsSnapshotReplayer
-
-    replayer = UdsSnapshotReplayer(UdsReplayFactory(seed=seed),
-                                   key_algorithm=key_algorithm)
-    record = {
-        "oracle": finding.oracle,
-        "time": finding.time,
-        "window_requests": len(finding.recent_requests),
-        "reproduced": False,
-    }
-    stats = MinimizeStats()
-    try:
-        minimal = replayer.minimize(list(finding.recent_requests),
-                                    stats=stats)
-    except ValueError:
-        return record
-    record.update(
-        reproduced=True,
-        minimized_requests=[request.hex() for request in minimal],
-        probes=stats.tests_used,
-        probe_cache_hits=stats.cache_hits,
-        exhausted=stats.exhausted,
-        replayer=replayer.stats(),
-    )
-    return record
-
-
 def _cmd_fuzz_uds(args: argparse.Namespace) -> int:
     from repro.fuzz import CampaignLimits, ShardSpec
     from repro.fuzz.uds_campaign import UdsFuzzCampaign
     from repro.testbench import UdsBenchFactory, UdsReplayFactory
-    from repro.uds.replay import confirm_uds_findings
+    from repro.uds.replay import UdsSnapshotReplayer, confirm_uds_findings
 
     if args.resume and not args.journal:
         print("--resume requires --journal DIR", file=sys.stderr)
@@ -471,9 +445,10 @@ def _cmd_fuzz_uds(args: argparse.Namespace) -> int:
         findings = confirmation.confirmed
     minimized = None
     if args.minimize:
-        minimized = [_minimize_uds_finding(finding, seed=args.seed,
-                                           key_algorithm=key_algorithm)
-                     for finding in findings]
+        minimized = [_minimize_finding(
+            finding, UdsSnapshotReplayer(UdsReplayFactory(seed=args.seed),
+                                         key_algorithm=key_algorithm),
+            finding.recent_requests, bytes.hex) for finding in findings]
         for record in minimized:
             if not record["reproduced"]:
                 print(f"finding[{record['oracle']}]: window of "

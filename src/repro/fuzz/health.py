@@ -355,6 +355,19 @@ class ConfirmationReport:
     def noise_filtered(self) -> int:
         return len(self.rejected)
 
+    @classmethod
+    def by_replay(cls, findings: list[Finding],
+                  replayer: Replayer) -> "ConfirmationReport":
+        """Confirm each finding ``replayer`` reproduces; reject the rest."""
+        confirmed: list[Finding] = []
+        rejected: list[Finding] = []
+        for finding in findings:
+            if replayer.probe_finding(finding):
+                confirmed.append(finding)
+            else:
+                rejected.append(finding)
+        return cls(confirmed=confirmed, rejected=rejected)
+
     def to_dict(self) -> dict:
         return {
             "confirmed": len(self.confirmed),
@@ -374,12 +387,5 @@ def confirm_findings(findings: list[Finding], factory: TargetFactory, *,
     window still trips the failure probe on the clean build is
     confirmed; the rest are noise artefacts, filtered and counted.
     """
-    replayer = Replayer(factory, interval=interval, settle=settle)
-    confirmed: list[Finding] = []
-    rejected: list[Finding] = []
-    for finding in findings:
-        if replayer.probe_finding(finding):
-            confirmed.append(finding)
-        else:
-            rejected.append(finding)
-    return ConfirmationReport(confirmed=confirmed, rejected=rejected)
+    return ConfirmationReport.by_replay(
+        findings, Replayer(factory, interval=interval, settle=settle))

@@ -14,23 +14,28 @@ falls back to a fixed ``interval`` grid.
 :mod:`repro.fuzz.minimize`: its :meth:`probe` method is a ready-made
 ``still_fails`` predicate for ``minimize_trace``.
 
-:class:`SnapshotReplayer` is the fast path: instead of rebuilding the
-target and re-simulating the whole candidate for every ddmin probe, it
-keeps a prefix tree of :class:`~repro.sim.snapshot.Snapshot`
-checkpoints keyed by ``(frame, gap)`` transmission steps.  A probe
-restores the deepest cached ancestor of its candidate and only
-simulates the suffix.  Verdict parity with the fresh-build
-:class:`Replayer` is structural: a checkpoint is the exact world a
-fresh replay of that prefix would have produced (same frames, same
-gaps, same powered-on start state), and the simulator is
-deterministic, so continuing from the restored checkpoint and
-continuing from a fresh rebuild are bit-identical.
+What one replayed *step* is lives in two hooks: :meth:`Replayer._path`
+turns a recording into hashable step keys, and :meth:`Replayer._step`
+applies one key to a world.  Here a key is a ``(frame, gap)``
+transmission; :class:`repro.uds.replay.UdsReplayer` plugs in
+request-level keys through the same hooks.
+
+:class:`SnapshotReplayer` is the fast path for either kind of step:
+instead of rebuilding the target and re-simulating the whole candidate
+for every ddmin probe, it keeps a prefix tree of
+:class:`~repro.sim.snapshot.Snapshot` checkpoints keyed by step.  A
+probe restores the deepest cached ancestor of its candidate and only
+simulates the suffix.  Verdict parity with the fresh-build replayer is
+structural: a checkpoint is the exact world a fresh replay of that
+prefix would have produced (same steps, same powered-on start state),
+and the simulator is deterministic, so continuing from the restored
+checkpoint and continuing from a fresh rebuild are bit-identical.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from repro.can.adapter import PcanStyleAdapter
 from repro.can.frame import CanFrame
@@ -50,6 +55,10 @@ TargetFactory = Callable[[], tuple[Simulator, PcanStyleAdapter,
 class Replayer:
     """Replays frame sequences against freshly built targets.
 
+    Subclasses change what a step is by overriding :meth:`_path` and
+    :meth:`_step` (and :meth:`probe_finding`, to pick the finding's
+    record); validation, probing and minimisation stay here.
+
     Args:
         target_factory: builds an isolated target per replay; replays
             must not share state or the verdicts are meaningless.
@@ -60,10 +69,15 @@ class Replayer:
             watchdogs land).
     """
 
+    #: What one replayed step is called in :meth:`stats` and report keys.
+    unit = "frames"
+    #: Smallest accepted ``interval``.
+    _min_interval = 1
+
     def __init__(self, target_factory: TargetFactory, *,
                  interval: int = 1 * MS, settle: int = 50 * MS) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+        if interval < self._min_interval:
+            raise ValueError(f"interval must be >= {self._min_interval}")
         if settle < 0:
             raise ValueError("settle must be >= 0")
         self._target_factory = target_factory
@@ -95,35 +109,53 @@ class Replayer:
         gaps.append(interval)
         return gaps
 
-    def probe(self, frames: Sequence[CanFrame],
+    def _path(self, steps: Sequence,
+              times: Sequence[int] | None) -> list[Hashable]:
+        """The recording as step keys: ``(frame, gap)`` transmissions.
+
+        Two probes whose pacing differs get different keys, so they
+        never share a checkpoint.
+        """
+        return list(zip(steps, self._gaps(steps, times)))
+
+    def _step(self, world: tuple, key: Hashable) -> None:
+        """Apply one step key: write the frame, then run its gap."""
+        sim, adapter, _ = world
+        frame, gap = key
+        adapter.write(frame)
+        sim.run_for(gap)
+
+    def _verdict(self, world: tuple) -> bool:
+        """Run the settle window and read the failure probe."""
+        sim, _, failed = world
+        sim.run_for(self.settle)
+        return bool(failed())
+
+    def probe(self, steps: Sequence,
               times: Sequence[int] | None = None) -> bool:
-        """Replay ``frames`` on a fresh target; True if it fails.
+        """Replay ``steps`` on a fresh target; True if it fails.
 
         Usable directly as ``minimize_trace``'s ``still_fails``.
         ``times`` optionally carries the recorded transmit timestamps
         (see :meth:`probe_finding`).
         """
-        sim, adapter, failed = self._target_factory()
+        world = self._target_factory()
         self.replays += 1
-        gaps = self._gaps(frames, times)
-        for frame, gap in zip(frames, gaps):
-            adapter.write(frame)
-            sim.run_for(gap)
-        sim.run_for(self.settle)
-        return bool(failed())
+        for key in self._path(steps, times):
+            self._step(world, key)
+        return self._verdict(world)
 
     def probe_finding(self, finding: Finding) -> bool:
         """Replay a finding's recorded window with its recorded pacing."""
         return self.probe(finding.recent_frames,
                           times=finding.recent_times or None)
 
-    def minimize(self, frames: Sequence[CanFrame], *,
-                 max_tests: int = 10_000,
-                 stats: MinimizeStats | None = None) -> list[CanFrame]:
-        """Shrink ``frames`` to a 1-minimal failing subsequence."""
+    def minimize(self, steps: Sequence, *, max_tests: int = 10_000,
+                 stats: MinimizeStats | None = None) -> list:
+        """Shrink ``steps`` to a 1-minimal failing subsequence."""
         from repro.fuzz.minimize import minimize_trace
 
-        return minimize_trace(frames, self.probe, max_tests=max_tests,
+        return minimize_trace(steps, self.probe, max_tests=max_tests,
                               stats=stats)
 
     def minimize_frame(self, frame: CanFrame, *,
@@ -136,29 +168,32 @@ class Replayer:
             frame, lambda candidate: self.probe([candidate]),
             filler=filler, max_tests=max_tests, stats=stats)
 
+    def stats(self) -> dict[str, int]:
+        """Counter snapshot for reports (JSON-ready)."""
+        return {"replays": self.replays}
+
 
 class _PrefixNode:
     """One step of the checkpoint prefix tree.
 
-    Children are keyed by ``(frame, gap)`` -- the transmitted frame
-    plus the simulated duration run after writing it; two probes whose
-    pacing differs must not share a checkpoint.  ``snapshot`` is
-    ``None`` for pass-through nodes (no checkpoint stored, or evicted).
+    Children are keyed by step key (see :meth:`Replayer._path`).
+    ``snapshot`` is ``None`` for pass-through nodes (no checkpoint
+    stored, or evicted).
     """
 
     __slots__ = ("children", "snapshot")
 
     def __init__(self) -> None:
-        self.children: dict[tuple[CanFrame, int], "_PrefixNode"] = {}
+        self.children: dict[Hashable, "_PrefixNode"] = {}
         self.snapshot: Snapshot | None = None
 
-    def walk(self, key: "tuple[CanFrame, int]") -> "tuple[_PrefixNode, bool]":
+    def walk(self, key: Hashable) -> "tuple[_PrefixNode, bool]":
         """Child for ``key``, creating it if absent; True when it existed.
 
         A node that already existed marks a *shared* prefix -- some
-        earlier probe walked the same transmission step -- which is
-        what makes it worth checkpointing (see the second-touch policy
-        in :meth:`SnapshotReplayer.probe`).
+        earlier probe walked the same step -- which is what makes it
+        worth checkpointing (see the second-touch policy in
+        :meth:`SnapshotReplayer.probe`).
         """
         child = self.children.get(key)
         if child is not None:
@@ -169,21 +204,25 @@ class _PrefixNode:
 
 
 class SnapshotReplayer(Replayer):
-    """A :class:`Replayer` that resumes probes from cached checkpoints.
+    """A replayer that resumes probes from cached checkpoints.
 
     The target is built **once** (the root checkpoint); every probe
-    restores the deepest cached ancestor of its candidate's
-    ``(frame, gap)`` path and simulates only the remaining suffix.
+    restores the deepest cached ancestor of its candidate's step path
+    and simulates only the remaining suffix.  The step semantics come
+    from the replayer it is mixed with: frames here,
+    UDS requests in :class:`repro.uds.replay.UdsSnapshotReplayer`.
 
     Checkpoints follow a *second-touch* policy: a capture costs tens
-    of simulated frames' worth of wall clock, so it is only worth
+    of simulated steps' worth of wall clock, so it is only worth
     paying on a prefix that is actually shared between probes.  The
     first probe through a path merely indexes it in the tree; a later
     probe that walks the same step again (proving the prefix shared)
     drops a checkpoint there, at most one per ``checkpoint_stride``
     simulated steps.  One-off suffixes -- the parts of rejected ddmin
     candidates no other probe revisits -- therefore cost no captures
-    at all.
+    at all.  Duplicate candidates are ddmin's to memoise
+    (:func:`~repro.fuzz.minimize.minimize_trace`); every probe here
+    replays.
 
     Args:
         target_factory: as for :class:`Replayer`; called exactly once.
@@ -193,50 +232,38 @@ class SnapshotReplayer(Replayer):
             capture time and snapshot memory.
         max_snapshots: bound on cached checkpoints (root excluded);
             least-recently-used checkpoints are dropped first.
-        memoize_verdicts: serve duplicate candidates from a verdict
-            table without touching the simulator at all.
+        **options: the step replayer's own options (``interval``,
+            ``settle``, ...).
 
-    Counters (all cumulative):
-        ``replays`` -- probes answered, memoised or simulated;
-        ``cache_hits`` -- probes answered from the verdict memo;
+    Counters (all cumulative; ``<steps>`` is ``frames`` or
+    ``requests``):
+        ``replays`` -- probes answered;
         ``restores`` -- checkpoint restorations performed;
-        ``frames_restored`` -- frames skipped by restoring mid-trace;
-        ``frames_simulated`` -- frames actually written and simulated;
+        ``<steps>_restored`` -- steps skipped by restoring mid-trace;
+        ``<steps>_simulated`` -- steps actually applied and simulated;
         ``snapshots_taken`` -- checkpoints captured.
     """
 
     def __init__(self, target_factory: TargetFactory, *,
-                 interval: int = 1 * MS, settle: int = 50 * MS,
                  checkpoint_stride: int = 64, max_snapshots: int = 256,
-                 memoize_verdicts: bool = True) -> None:
-        super().__init__(target_factory, interval=interval, settle=settle)
+                 **options) -> None:
+        super().__init__(target_factory, **options)
         if checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be at least 1")
         if max_snapshots < 1:
             raise ValueError("max_snapshots must be at least 1")
         self._stride = checkpoint_stride
         self._max_snapshots = max_snapshots
-        self._memoize = memoize_verdicts
         self._root = _PrefixNode()
-        self._verdicts: dict[tuple[tuple[CanFrame, int], ...], bool] = {}
         self._lru: "OrderedDict[int, _PrefixNode]" = OrderedDict()
-        self.cache_hits = 0
         self.restores = 0
-        self.frames_restored = 0
-        self.frames_simulated = 0
+        self.steps_restored = 0
+        self.steps_simulated = 0
         self.snapshots_taken = 0
 
-    def probe(self, frames: Sequence[CanFrame],
+    def probe(self, steps: Sequence,
               times: Sequence[int] | None = None) -> bool:
-        frames = list(frames)
-        gaps = self._gaps(frames, times)
-        path = tuple(zip(frames, gaps))
-        if self._memoize:
-            cached = self._verdicts.get(path)
-            if cached is not None:
-                self.replays += 1
-                self.cache_hits += 1
-                return cached
+        path = self._path(steps, times)
         root = self._ensure_root()
         # Deepest ancestor of the candidate that still holds a
         # checkpoint (pass-through/evicted nodes are skipped over).
@@ -250,33 +277,27 @@ class SnapshotReplayer(Replayer):
                 best_node, best_depth = node, depth
         if best_node is not root:
             self._lru.move_to_end(id(best_node))
-        sim, adapter, failed = best_node.snapshot.restore()
+        world = best_node.snapshot.restore()
         self.replays += 1
         self.restores += 1
-        self.frames_restored += best_depth
+        self.steps_restored += best_depth
         # Simulate (and index) the suffix.
         node = best_node
         since_checkpoint = 0
-        for i in range(best_depth, len(frames)):
-            child, shared = node.walk(path[i])
-            node = child
-            adapter.write(frames[i])
-            sim.run_for(gaps[i])
-            self.frames_simulated += 1
+        for key in path[best_depth:]:
+            node, shared = node.walk(key)
+            self._step(world, key)
+            self.steps_simulated += 1
             since_checkpoint += 1
             # Second-touch: checkpoint only steps some earlier probe
             # already walked.  The capture happens *before* the settle
             # window runs, so the stored world is exactly "prefix
-            # transmitted, nothing settled yet".
-            if (shared and child.snapshot is None
+            # applied, nothing settled yet".
+            if (shared and node.snapshot is None
                     and since_checkpoint >= self._stride):
-                self._store(child, capture((sim, adapter, failed)))
+                self._store(node, capture(world))
                 since_checkpoint = 0
-        sim.run_for(self.settle)
-        verdict = bool(failed())
-        if self._memoize:
-            self._verdicts[path] = verdict
-        return verdict
+        return self._verdict(world)
 
     def _ensure_root(self) -> _PrefixNode:
         """Build the target once and checkpoint its start state."""
@@ -302,13 +323,11 @@ class SnapshotReplayer(Replayer):
         return len(self._lru)
 
     def stats(self) -> dict[str, int]:
-        """Counter snapshot for reports (JSON-ready)."""
         return {
-            "replays": self.replays,
-            "cache_hits": self.cache_hits,
+            **super().stats(),
             "restores": self.restores,
-            "frames_restored": self.frames_restored,
-            "frames_simulated": self.frames_simulated,
+            f"{self.unit}_restored": self.steps_restored,
+            f"{self.unit}_simulated": self.steps_simulated,
             "snapshots_taken": self.snapshots_taken,
             "cached_snapshots": self.cached_snapshots,
         }

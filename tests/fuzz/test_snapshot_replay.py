@@ -4,19 +4,25 @@ The contract under test is *verdict parity*: for any candidate
 sequence, :class:`SnapshotReplayer` must answer exactly what the
 fresh-build :class:`Replayer` answers -- same probe verdicts, same
 minimised traces, same probe counts -- while reusing cached prefix
-checkpoints instead of rebuilding the target.
+checkpoints instead of rebuilding the target.  The checkpoint tree is
+shared by both step kinds, so its caching contract runs over CAN
+frames (:class:`TestCaching`) and UDS requests
+(:class:`TestRequestCaching`).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.can.frame import CanFrame
-from repro.fuzz.minimize import MinimizeStats
+from repro.fuzz.minimize import MinimizeStats, minimize_trace
 from repro.fuzz.oracle import Finding
 from repro.fuzz.replay import Replayer, SnapshotReplayer
 from repro.sim.clock import MS
 from repro.testbench.bench import UnlockTestbench
+from repro.testbench.factory import UdsReplayFactory
+from repro.uds.replay import UdsReplayer, UdsSnapshotReplayer
+from repro.uds.server import BOOTLOADER_SCRATCH_DID, SCRATCH_BUFFER_SIZE
 from repro.vehicle.database import BODY_COMMAND_ID, UNLOCK_COMMAND
 
 
@@ -35,6 +41,41 @@ NOISE = [CanFrame(0x100 + i, bytes((i,))) for i in range(10)]
 #: unlock command, and a near-miss (wrong command byte).
 POOL = NOISE[:4] + [UNLOCK_FRAME,
                     CanFrame(BODY_COMMAND_ID, bytes((0x21, 0x99, 0x01)))]
+
+#: The UDS counterparts: reads of unknown data identifiers are benign
+#: noise, and the NRC-path session-control hang fails on its own.
+KEY_ALGORITHM = 5
+UDS_FACTORY = UdsReplayFactory(seed=0, key_algorithm=KEY_ALGORITHM)
+UDS_NOISE = [bytes((0x22, 0x00, i)) for i in range(10)]
+UDS_HANG = bytes((0x10, 0x04))
+#: The scratch overflow needs the unlocked programming session, so it
+#: only fails when the sendKey byte is re-derived from this replay's
+#: seed (the recorded ``00`` is never the right key).
+UDS_OVERFLOW = [
+    b"\x10\x03", b"\x27\x01", b"\x27\x02\x00", b"\x10\x02",
+    bytes((0x2E, BOOTLOADER_SCRATCH_DID >> 8, BOOTLOADER_SCRATCH_DID & 0xFF))
+    + bytes(SCRATCH_BUFFER_SIZE + 4),
+]
+#: Spliced between overflow steps: noise, an ECUReset (the reboot
+#: ride-out, and a session that has to be walked again) and
+#: TesterPresent.
+UDS_FILLER = UDS_NOISE[:2] + [b"\x11\x01", b"\x3e\x00"]
+
+
+@st.composite
+def overflow_attempts(draw):
+    """The overflow sequence with steps dropped and filler spliced in.
+
+    Filler shifts the simulated time of each seed request, so every
+    attempt is handed a different seed and its recorded ``00`` key has
+    to be re-derived.
+    """
+    requests = []
+    for step in UDS_OVERFLOW:
+        requests += draw(st.lists(st.sampled_from(UDS_FILLER), max_size=2))
+        if draw(st.integers(0, 3)):
+            requests.append(step)
+    return requests
 
 
 class TestParity:
@@ -62,8 +103,22 @@ class TestParity:
         assert self.snap.probe(trace) == Replayer(bench_factory).probe(
             trace)
 
-    snap = SnapshotReplayer(bench_factory, checkpoint_stride=2,
-                            memoize_verdicts=False)
+    snap = SnapshotReplayer(bench_factory, checkpoint_stride=2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(requests=overflow_attempts())
+    @example(requests=UDS_OVERFLOW)
+    @example(requests=UDS_OVERFLOW[:4] + [b"\x11\x01"] + UDS_OVERFLOW)
+    def test_request_probe_parity_on_generated_sequences(self, requests):
+        # Key rewriting reads the seed of the world it runs in; verdict
+        # parity with a fresh build shows it is a deterministic
+        # function of the restored checkpoint.  (``keys_rewritten``
+        # differs by design: restored steps are not re-run.)
+        fresh = UdsReplayer(UDS_FACTORY, key_algorithm=KEY_ALGORITHM)
+        assert self.uds_snap.probe(requests) == fresh.probe(requests)
+
+    uds_snap = UdsSnapshotReplayer(UDS_FACTORY, key_algorithm=KEY_ALGORITHM,
+                                   checkpoint_stride=2)
 
     def test_minimize_parity_including_probe_counts(self):
         trace = NOISE[:6] + [UNLOCK_FRAME] + NOISE[6:]
@@ -85,78 +140,90 @@ class TestParity:
         assert minimal.data == bytes((UNLOCK_COMMAND,))
 
 
-class TestCaching:
+class _CheckpointTreeContract:
+    """The checkpoint tree's contract; subclasses pick the step kind."""
+
+    snap_cls: type
+    factory: object
+    noise: list
+    culprit: object
+    unit: str
+    invalid_options: list
+
     def test_target_is_built_exactly_once(self):
         built = []
 
         def counting_factory():
             built.append(True)
-            return bench_factory()
+            return self.factory()
 
-        replayer = SnapshotReplayer(counting_factory)
-        replayer.probe(NOISE)
-        replayer.probe([UNLOCK_FRAME])
-        replayer.probe(NOISE[:3])
+        replayer = self.snap_cls(counting_factory)
+        replayer.probe(self.noise)
+        replayer.probe([self.culprit])
+        replayer.probe(self.noise[:3])
         assert len(built) == 1
         assert replayer.replays == 3
-
-    def test_verdict_memo_serves_repeats(self):
-        replayer = SnapshotReplayer(bench_factory)
-        assert replayer.probe([UNLOCK_FRAME])
-        restores_before = replayer.restores
-        assert replayer.probe([UNLOCK_FRAME])
-        assert replayer.cache_hits == 1
-        assert replayer.restores == restores_before  # no sim touched
 
     def test_second_touch_checkpointing_enables_prefix_reuse(self):
         # stride=1: every *revisited* step beyond the root becomes a
         # checkpoint.  First walk of a path stores nothing; the second
         # walk stores; the third restores mid-trace.
-        replayer = SnapshotReplayer(bench_factory, checkpoint_stride=1,
-                                    memoize_verdicts=False)
-        prefix = NOISE[:4]
-        replayer.probe(prefix + [NOISE[5]])
+        replayer = self.snap_cls(self.factory, checkpoint_stride=1)
+        prefix = self.noise[:4]
+        replayer.probe(prefix + [self.noise[5]])
         assert replayer.snapshots_taken == 1          # root only
-        replayer.probe(prefix + [NOISE[6]])
+        replayer.probe(prefix + [self.noise[6]])
         assert replayer.snapshots_taken > 1           # shared prefix
-        frames_restored_before = replayer.frames_restored
-        replayer.probe(prefix + [UNLOCK_FRAME])
-        assert replayer.frames_restored >= frames_restored_before + 4
+        restored_before = replayer.stats()[f"{self.unit}_restored"]
+        assert replayer.probe(prefix + [self.culprit])
         stats = replayer.stats()
+        assert stats[f"{self.unit}_restored"] >= restored_before + 4
         assert stats["restores"] == 3
         assert stats["cached_snapshots"] >= 4
 
     def test_one_off_suffixes_cost_no_captures(self):
-        replayer = SnapshotReplayer(bench_factory, checkpoint_stride=1,
-                                    memoize_verdicts=False)
-        replayer.probe(NOISE)          # first walk: index only
+        replayer = self.snap_cls(self.factory, checkpoint_stride=1)
+        replayer.probe(self.noise)     # first walk: index only
         assert replayer.snapshots_taken == 1
         assert replayer.cached_snapshots == 0
 
     def test_stride_limits_checkpoint_density(self):
-        dense = SnapshotReplayer(bench_factory, checkpoint_stride=1,
-                                 memoize_verdicts=False)
-        sparse = SnapshotReplayer(bench_factory, checkpoint_stride=5,
-                                  memoize_verdicts=False)
+        dense = self.snap_cls(self.factory, checkpoint_stride=1)
+        sparse = self.snap_cls(self.factory, checkpoint_stride=5)
         for replayer in (dense, sparse):
-            replayer.probe(NOISE)
-            replayer.probe(NOISE + [UNLOCK_FRAME])
+            replayer.probe(self.noise)
+            replayer.probe(self.noise + [self.culprit])
         assert sparse.cached_snapshots < dense.cached_snapshots
 
     def test_lru_eviction_bounds_memory(self):
-        replayer = SnapshotReplayer(bench_factory, checkpoint_stride=1,
-                                    max_snapshots=3,
-                                    memoize_verdicts=False)
-        replayer.probe(NOISE)
-        replayer.probe(NOISE + [UNLOCK_FRAME])       # checkpoints NOISE path
+        replayer = self.snap_cls(self.factory, checkpoint_stride=1,
+                                 max_snapshots=3)
+        replayer.probe(self.noise)
+        replayer.probe(self.noise + [self.culprit])  # checkpoints the path
         assert replayer.cached_snapshots <= 3
         # Evicted prefixes still answer correctly (rebuilt from root).
-        assert replayer.probe(NOISE[:2] + [UNLOCK_FRAME])
-        assert not replayer.probe(NOISE[:2])
+        assert replayer.probe(self.noise[:2] + [self.culprit])
+        assert not replayer.probe(self.noise[:2])
+
+    def test_parameter_validation(self):
+        for options in self.invalid_options:
+            with pytest.raises(ValueError):
+                self.snap_cls(self.factory, **options)
+
+
+class TestCaching(_CheckpointTreeContract):
+    """The contract over CAN frame steps, plus what only frames have."""
+
+    snap_cls = SnapshotReplayer
+    factory = staticmethod(bench_factory)
+    noise = NOISE
+    culprit = UNLOCK_FRAME
+    unit = "frames"
+    invalid_options = [{"checkpoint_stride": 0}, {"max_snapshots": 0},
+                       {"interval": 0}, {"settle": -1}]
 
     def test_different_pacing_does_not_share_checkpoints(self):
-        replayer = SnapshotReplayer(bench_factory, checkpoint_stride=1,
-                                    memoize_verdicts=False)
+        replayer = SnapshotReplayer(bench_factory, checkpoint_stride=1)
         times_a = [i * 1 * MS for i in range(len(NOISE))]
         times_b = [i * 3 * MS for i in range(len(NOISE))]
         replayer.probe(NOISE, times=times_a)
@@ -168,11 +235,33 @@ class TestCaching:
         assert replayer.probe(NOISE, times=times_b) is False
         assert replayer.snapshots_taken > taken
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            SnapshotReplayer(bench_factory, checkpoint_stride=0)
-        with pytest.raises(ValueError):
-            SnapshotReplayer(bench_factory, max_snapshots=0)
+    def test_minimize_trace_memo_serves_repeats(self):
+        # Duplicate candidates are ddmin's to memoise, not the
+        # replayer's: granularity changes revisit subsets, and each
+        # distinct candidate reaches the predicate exactly once.
+        calls = []
+
+        def still_fails(candidate):
+            calls.append(tuple(candidate))
+            return {1, 6} <= set(candidate)
+
+        stats = MinimizeStats()
+        assert minimize_trace(range(8), still_fails, stats=stats) == [1, 6]
+        assert len(calls) == len(set(calls)) == stats.tests_used
+        assert stats.cache_hits > 0
+
+
+class TestRequestCaching(_CheckpointTreeContract):
+    """The same contract over UDS request steps."""
+
+    snap_cls = UdsSnapshotReplayer
+    factory = UDS_FACTORY
+    noise = UDS_NOISE
+    culprit = UDS_HANG
+    unit = "requests"
+    invalid_options = [{"checkpoint_stride": 0}, {"max_snapshots": 0},
+                       {"interval": -1}, {"settle": -1},
+                       {"reset_settle": -5}, {"key_algorithm": 99}]
 
 
 class TestRecordedPacing:

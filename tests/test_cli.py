@@ -94,11 +94,18 @@ class TestFuzzBenchMinimize:
             time=1_000_000, oracle="unlock-ack", description="unlock",
             recent_frames=tuple(noise[:3] + [culprit] + noise[3:]))
 
-    def test_minimize_finding_record(self):
-        from repro.cli import _minimize_finding
+    @staticmethod
+    def minimize(finding):
+        from repro.cli import _minimize_finding, _replay_factory
+        from repro.fuzz import SnapshotReplayer
+        from repro.fuzz.session import frame_to_dict
 
-        record = _minimize_finding(self.make_finding(),
-                                   check_mode="byte", seed=3)
+        return _minimize_finding(
+            finding, SnapshotReplayer(_replay_factory("byte", 3)),
+            finding.recent_frames, frame_to_dict)
+
+    def test_minimize_finding_record(self):
+        record = self.minimize(self.make_finding())
         assert record["reproduced"]
         assert record["window_frames"] == 7
         assert len(record["minimized_frames"]) == 1
@@ -108,12 +115,11 @@ class TestFuzzBenchMinimize:
 
     def test_non_reproducing_window_is_reported_not_fatal(self):
         from repro.can.frame import CanFrame
-        from repro.cli import _minimize_finding
         from repro.fuzz.oracle import Finding
 
         benign = Finding(time=1, oracle="ack", description="noise only",
                          recent_frames=(CanFrame(0x100, b"\x01"),))
-        record = _minimize_finding(benign, check_mode="byte", seed=3)
+        record = self.minimize(benign)
         assert record == {"oracle": "ack", "time": 1,
                           "window_frames": 1, "reproduced": False}
 
