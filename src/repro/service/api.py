@@ -32,11 +32,18 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.service.orchestrator import JOB_KINDS, Orchestrator
 from repro.service.queue import JobQueue
+
+#: Tenant token buckets kept at once.  Tenant names are client-chosen,
+#: so above this the least recently used bucket is evicted -- a full
+#: one first, since a bucket that refilled to ``burst`` admits exactly
+#: what a fresh bucket would.
+MAX_TENANT_BUCKETS = 1024
 
 
 @dataclass
@@ -56,15 +63,23 @@ class TokenBucket:
         self.tokens = float(self.burst)
         self._updated = self.clock()
 
+    def _level(self, now: float) -> float:
+        # A clock that jumps backwards (chaos, NTP step) must not mint
+        # negative refills that eat the bucket; clamp elapsed at zero.
+        elapsed = max(0.0, now - self._updated)
+        return min(float(self.burst), self.tokens + elapsed * self.rate)
+
+    @property
+    def full(self) -> bool:
+        """Refilled to ``burst``: admits exactly what a fresh bucket
+        would."""
+        return self._level(self.clock()) >= self.burst
+
     def take(self) -> float | None:
         """Consume one token; returns ``None`` when admitted, else the
         seconds until a token will exist (the ``Retry-After`` value)."""
         now = self.clock()
-        # A clock that jumps backwards (chaos, NTP step) must not mint
-        # negative refills that eat the bucket; clamp elapsed at zero.
-        elapsed = max(0.0, now - self._updated)
-        self.tokens = min(float(self.burst),
-                          self.tokens + elapsed * self.rate)
+        self.tokens = self._level(now)
         self._updated = now
         if self.tokens >= 1.0:
             self.tokens -= 1.0
@@ -114,7 +129,12 @@ class ServiceApi:
         self.header_timeout = header_timeout
         self.body_timeout = body_timeout
         self.max_body_bytes = max_body_bytes
-        self._buckets: dict[str, TokenBucket] = {}
+        #: Least recently used first; at most MAX_TENANT_BUCKETS.
+        self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
+        #: Buckets evicted, and of those the ones not yet refilled
+        #: (their tenant gets a fresh burst back).
+        self.buckets_evicted = 0
+        self.buckets_evicted_unrefilled = 0
         self._server: asyncio.AbstractServer | None = None
         self.address: tuple[str, int] | None = None
         self.requests = 0
@@ -296,6 +316,7 @@ class ServiceApi:
             job = self.queue.submit(**fields)
         except (TypeError, ValueError) as exc:
             return 400, {"error": str(exc)}, {}
+        self.orchestrator.wake()
         return 201, job.status_dict(), {}
 
     def _job_resource(self, job_id: str,
@@ -338,6 +359,11 @@ class ServiceApi:
                              self.queue.active_for_tenant(tenant)}
                 for tenant, bucket in sorted(self._buckets.items())
             },
+            "buckets": {"tracked": len(self._buckets),
+                        "cap": MAX_TENANT_BUCKETS,
+                        "evicted": self.buckets_evicted,
+                        "evicted_unrefilled":
+                            self.buckets_evicted_unrefilled},
             "rate": self.rate,
             "burst": self.burst,
             "max_active_per_tenant": self.max_active_per_tenant,
@@ -346,8 +372,23 @@ class ServiceApi:
 
     def _bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
-        if bucket is None:
-            bucket = TokenBucket(rate=self.rate, burst=self.burst,
-                                 clock=self.clock)
-            self._buckets[tenant] = bucket
+        if bucket is not None:
+            self._buckets.move_to_end(tenant)
+            return bucket
+        if len(self._buckets) >= MAX_TENANT_BUCKETS:
+            self._evict_bucket()
+        bucket = TokenBucket(rate=self.rate, burst=self.burst,
+                             clock=self.clock)
+        self._buckets[tenant] = bucket
         return bucket
+
+    def _evict_bucket(self) -> None:
+        """Drop the least recently used full bucket, else the least
+        recently used one."""
+        victim = next((tenant for tenant, bucket in self._buckets.items()
+                       if bucket.full), None)
+        if victim is None:
+            victim = next(iter(self._buckets))
+            self.buckets_evicted_unrefilled += 1
+        del self._buckets[victim]
+        self.buckets_evicted += 1

@@ -1,13 +1,20 @@
 """The campaign orchestrator: lease jobs onto worker processes.
 
-The service's control loop.  Each tick it (1) drains worker messages
--- heartbeats renew leases, results complete jobs, tracebacks fault
-them; (2) expires leases whose workers went silent, killing wedged
-survivors with the same SIGTERM-then-SIGKILL escalation
+The service's control loop.  Each pass (a *tick*) it (1) drains worker
+messages -- heartbeats renew leases, results complete jobs, tracebacks
+fault them; (2) expires leases whose workers went silent, killing
+wedged survivors with the same SIGTERM-then-SIGKILL escalation
 :class:`~repro.fuzz.parallel.ShardedCampaign` uses; (3) grants leases
 for pending jobs onto fresh workers, honouring per-job jittered
 backoff after faults and degrading to fewer slots (ultimately inline
 execution) when the OS refuses processes.
+
+The loop is event-driven: a tick runs as soon as a worker pipe turns
+readable (a heartbeat, a result, or EOF when the worker died), a job
+is submitted (:meth:`Orchestrator.wake`) or the stop event is set.
+Lease expiry, backoff deadlines and jobs put straight into the queue
+have no event of their own; a housekeeping tick covers them at least
+every ``poll_interval`` seconds.
 
 The crash-handoff guarantee rests on three existing pieces: every job
 runs inside its own :class:`~repro.fuzz.durability.CampaignJournal`
@@ -26,8 +33,10 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import multiprocessing.connection
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +48,10 @@ from repro.fuzz.parallel import (ResourceGuards, ShardSpec,
 from repro.service.lease import LeaseError, LeaseManager
 from repro.service.queue import JobQueue, JobSpec
 from repro.sim.clock import SECOND
+
+#: Operational notes kept for ``/status``; older ones are dropped (and
+#: counted) so a long-lived service holds bounded state.
+MAX_NOTES = 256
 
 # ----------------------------------------------------------------------
 # Job kinds: what a job id actually runs
@@ -220,7 +233,11 @@ class Orchestrator:
         backoff: wait policy between a job's fault and its re-grant;
             the default adds deterministic seeded jitter so a burst of
             simultaneous faults does not thunder back as one herd.
-        poll_interval: tick period of the control loop.
+        poll_interval: longest idle wait, in seconds, between two
+            ticks.  Worker messages, worker deaths, submits and stop
+            wake the loop at once; this bounds how late lease expiry,
+            backoff deadlines and jobs put straight into the queue are
+            noticed.
         terminate_grace: seconds a killed worker gets to honour
             SIGTERM before SIGKILL (see :func:`terminate_and_reap`).
         mp_context: multiprocessing start-method context.
@@ -284,13 +301,20 @@ class Orchestrator:
         self._worker_seq = 0
         self.inline_completions = 0
         #: Operational notes (degradation, late heartbeats, orphan
-        #: releases) surfaced through the status API.
-        self.notes: list[str] = []
+        #: releases) surfaced through the status API: the newest
+        #: :data:`MAX_NOTES`, with ``notes_dropped`` counting the rest.
+        self.notes: deque[str] = deque(maxlen=MAX_NOTES)
+        self.notes_dropped = 0
+        #: Set while :meth:`run` drives the loop: the event loop every
+        #: worker pipe is registered with, and the event a tick waits
+        #: for.
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._wakeup: asyncio.Event | None = None
         orphans = queue.release_orphans(
             "orchestrator restart: previous lease holder did not "
             "survive the process")
         if orphans:
-            self.notes.append(
+            self._note(
                 f"released {len(orphans)} orphaned lease(s) on startup: "
                 f"{', '.join(orphans)}")
 
@@ -307,30 +331,67 @@ class Orchestrator:
     async def run(self, stop: asyncio.Event | None = None) -> None:
         """Tick until ``stop`` is set (service mode) or, with no stop
         event, until every job reached a terminal state (batch mode).
-        Shuts down gracefully either way: running workers are stopped
-        and their jobs requeued without a fault strike."""
+        Between ticks it waits for the next event (see the module
+        docstring), at most ``poll_interval`` seconds.  Shuts down
+        gracefully either way: running workers are stopped and their
+        jobs requeued without a fault strike."""
+        self._loop = asyncio.get_running_loop()
+        self._wakeup = asyncio.Event()
+        for handle in self._handles.values():
+            self._watch(handle)
+        relay = (asyncio.ensure_future(self._wake_on(stop))
+                 if stop is not None else None)
         try:
             while True:
+                self._wakeup.clear()
                 self.tick()
                 if stop is not None:
                     if stop.is_set():
                         break
                 elif self.queue.idle() and not self._handles:
                     break
-                await asyncio.sleep(self.poll_interval)
+                try:
+                    await asyncio.wait_for(self._wakeup.wait(),
+                                           timeout=self.poll_interval)
+                except asyncio.TimeoutError:
+                    pass
         finally:
-            self.shutdown()
+            if relay is not None:
+                relay.cancel()
+            try:
+                self.shutdown()
+            finally:
+                for handle in self._handles.values():
+                    self._unwatch(handle)
+                self._loop = self._wakeup = None
+
+    def wake(self) -> None:
+        """Tick now rather than at the next housekeeping pass (the API
+        calls this after a submit).  Call from :meth:`run`'s event
+        loop; a no-op while the loop is not running."""
+        if self._wakeup is not None:
+            self._wakeup.set()
+
+    async def _wake_on(self, stop: asyncio.Event) -> None:
+        await stop.wait()
+        self.wake()
 
     def run_until_idle(self, timeout: float = 120.0) -> None:
-        """Synchronous drive for tests: tick until the queue drains."""
+        """Synchronous drive for tests: tick until the queue drains,
+        waiting on the worker pipes (at most ``poll_interval``)
+        between ticks."""
         deadline = time.monotonic() + timeout
-        while not self.queue.idle():
+        while True:
             self.tick()
+            if self.queue.idle():
+                return
             if time.monotonic() > deadline:
                 raise TimeoutError(
                     f"queue not idle after {timeout:.0f} s: "
                     f"{self.queue.counters()}")
-            time.sleep(self.poll_interval)
+            multiprocessing.connection.wait(
+                [handle.conn for handle in self._handles.values()],
+                timeout=self.poll_interval)
 
     def shutdown(self, note: str = "orchestrator shutdown: "
                                    "job requeued, not faulted") -> None:
@@ -339,7 +400,7 @@ class Orchestrator:
             escalation = terminate_and_reap(handle.process,
                                             grace=self.terminate_grace)
             if escalation:
-                self.notes.append(
+                self._note(
                     f"shutdown of {handle.worker_id}: {escalation}")
             self._drop(handle)
             self._release_lease(handle)
@@ -369,6 +430,7 @@ class Orchestrator:
             "queue": self.queue.counters(),
             "inline_completions": self.inline_completions,
             "notes": list(self.notes),
+            "notes_dropped": self.notes_dropped,
             "journal_warnings": self.queue.warnings,
             "artefact_warnings": list(self.queue.artefact_warnings),
         }
@@ -403,7 +465,7 @@ class Orchestrator:
         except LeaseError as exc:
             # Late heartbeat from a worker whose lease already expired:
             # the expiry path will kill it this tick; record the race.
-            self.notes.append(f"late heartbeat ignored: {exc}")
+            self._note(f"late heartbeat ignored: {exc}")
             return
         self.queue.update_progress(handle.job_id, payload)
 
@@ -413,7 +475,7 @@ class Orchestrator:
         self._release_lease(handle)
         disposition = self.queue.mark_completed(handle.job_id, result)
         if disposition == "divergent":
-            self.notes.append(
+            self._note(
                 f"job {handle.job_id}: divergent duplicate completion "
                 f"from {handle.worker_id} -- determinism violation")
         if warnings:
@@ -512,9 +574,11 @@ class Orchestrator:
             self._degrade(job)
             return False
         child_conn.close()
-        self._handles[spec.job_id] = _Handle(
-            job_id=spec.job_id, worker_id=worker_id, process=process,
-            conn=parent_conn, started=self.clock())
+        handle = _Handle(job_id=spec.job_id, worker_id=worker_id,
+                         process=process, conn=parent_conn,
+                         started=self.clock())
+        self._handles[spec.job_id] = handle
+        self._watch(handle)
         return True
 
     def _abort_grant(self, job_id: str, worker_id: str) -> None:
@@ -532,12 +596,12 @@ class Orchestrator:
         on a box that cannot fork at all."""
         if self.slots > 1:
             self.slots -= 1
-            self.notes.append(
+            self._note(
                 f"worker spawn failed; degraded to {self.slots} "
                 f"slot(s)")
             return
         spec = job.spec
-        self.notes.append(
+        self._note(
             f"worker spawn failed at one slot; running {spec.job_id} "
             f"inline")
         self.queue.mark_leased(spec.job_id, "inline")
@@ -562,8 +626,26 @@ class Orchestrator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _note(self, text: str) -> None:
+        if len(self.notes) == self.notes.maxlen:
+            self.notes_dropped += 1
+        self.notes.append(text)
+
+    def _watch(self, handle: _Handle) -> None:
+        """Wake :meth:`run` whenever the worker's pipe turns readable."""
+        if self._loop is not None:
+            self._loop.add_reader(handle.conn.fileno(), self.wake)
+
+    def _unwatch(self, handle: _Handle) -> None:
+        if self._loop is not None:
+            self._loop.remove_reader(handle.conn.fileno())
+
     def _drop(self, handle: _Handle) -> None:
         self._handles.pop(handle.job_id, None)
+        # Unregister before closing: the fd number is reused by the
+        # next pipe, and a stale selector entry would swallow its
+        # registration.
+        self._unwatch(handle)
         try:
             handle.conn.close()
         except OSError:
@@ -581,4 +663,4 @@ class Orchestrator:
             # The lease expired while the worker's last message was in
             # flight; the result is still deterministic and the dedup
             # path absorbs any re-execution.
-            self.notes.append(f"lease already gone on release: {exc}")
+            self._note(f"lease already gone on release: {exc}")

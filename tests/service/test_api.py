@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.service.api import ServiceApi, TokenBucket
+from repro.service.api import MAX_TENANT_BUCKETS, ServiceApi, TokenBucket
 from repro.service.orchestrator import Orchestrator
 from repro.service.queue import JobQueue
 
@@ -131,6 +131,64 @@ class TestRateLimit:
         assert get(api, "/status", {"x-tenant": "t1"})[0] == 200
         assert get(api, "/status", {"x-tenant": "t1"})[0] == 429
         assert get(api, "/status", {"x-tenant": "t2"})[0] == 200
+
+
+class TestBoundedBuckets:
+    def _api(self, tmp_path, clock, rate, burst):
+        queue = JobQueue(tmp_path)
+        return ServiceApi(queue, Orchestrator(queue, clock=clock),
+                          rate=rate, burst=burst, clock=clock)
+
+    def test_rotating_tenants_keep_the_map_flat(self, tmp_path):
+        rotating = 10 * MAX_TENANT_BUCKETS
+
+        def active_codes(rotate: bool) -> tuple[list[int], ServiceApi]:
+            clock = FakeClock()
+            api = self._api(tmp_path / str(rotate), clock, 1.0, 3.0)
+            codes = []
+            for index in range(rotating):
+                if rotate:
+                    get(api, "/jobs", {"x-tenant": f"rot-{index}"})
+                    assert len(api._buckets) <= MAX_TENANT_BUCKETS
+                codes.append(get(api, "/jobs", {"x-tenant": "active"})[0])
+                clock.advance(0.25)
+            return codes, api
+
+        alone, _ = active_codes(rotate=False)
+        flooded, api = active_codes(rotate=True)
+        assert 429 in alone
+        assert flooded == alone
+        buckets = get(api, "/status", {"x-tenant": "active"})[1]["api"]
+        assert len(buckets["tenants"]) == MAX_TENANT_BUCKETS
+        assert buckets["buckets"]["tracked"] == MAX_TENANT_BUCKETS
+        assert buckets["buckets"]["evicted"] == (
+            rotating + 1 - MAX_TENANT_BUCKETS)
+        assert buckets["buckets"]["evicted_unrefilled"] == 0
+
+    def test_eviction_prefers_refilled_buckets(self, tmp_path, clock):
+        # Slow refill: one token per 100 s.
+        api = self._api(tmp_path, clock, 0.01, 3.0)
+        codes = [get(api, "/jobs", {"x-tenant": "victim"})[0]
+                 for _ in range(4)]
+        assert codes == [200, 200, 200, 429]
+        for index in range(MAX_TENANT_BUCKETS - 1):
+            get(api, "/jobs", {"x-tenant": f"t-{index}"})
+        clock.advance(100.0)  # the others are full again, victim is not
+        get(api, "/jobs", {"x-tenant": "newcomer"})
+        assert "victim" in api._buckets  # least recently used, kept
+        assert "t-0" not in api._buckets
+        assert (api.buckets_evicted, api.buckets_evicted_unrefilled) == (1, 0)
+        codes = [get(api, "/jobs", {"x-tenant": "victim"})[0]
+                 for _ in range(2)]
+        assert codes == [200, 429]  # one refilled token, not a new burst
+
+    def test_with_no_full_bucket_the_oldest_goes(self, tmp_path, clock):
+        api = self._api(tmp_path, clock, 0.01, 3.0)
+        for index in range(MAX_TENANT_BUCKETS + 1):
+            get(api, "/jobs", {"x-tenant": f"t-{index}"})
+        assert "t-0" not in api._buckets
+        assert len(api._buckets) == MAX_TENANT_BUCKETS
+        assert (api.buckets_evicted, api.buckets_evicted_unrefilled) == (1, 1)
 
 
 class TestReads:
