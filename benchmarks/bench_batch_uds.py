@@ -5,7 +5,8 @@ DiagTestbench + coverage-guided :class:`UdsStateGenerator`) two ways
 and compares aggregate requests per wall second:
 
 - **scalar**: one world at a time through ``UdsFuzzCampaign.run()``,
-  polling the event kernel in 1 ms slices -- the per-shard cost
+  every ISO-TP frame and flow control a real kernel event and each
+  request waiting on the kernel for its reply -- the per-shard cost
   :class:`ShardedCampaign` pays today;
 - **batched**: N seeded worlds advanced in request/response lockstep
   by :class:`repro.fuzz.batch.BatchUdsCampaign`, which replaces wire

@@ -24,11 +24,11 @@ The request-level counterpart is :class:`BatchUdsCampaign`: N
 :class:`~repro.fuzz.uds_campaign.UdsFuzzCampaign` worlds advance in
 lockstep at request/response granularity.  Each world keeps its real
 bench objects (generator, server, client, ECU, kernel); the engine
-replaces only the *transport walk* -- the poll loop and ISO-TP
-segmentation events between sending a request and taking its response
--- with closed-form delivery arithmetic, while the application layer
-(the server's service handlers, the generator's belief machine, the
-campaign's probe/recover/checkpoint logic) runs unmodified.  The
+replaces only the *transport walk* -- the client's reply wait and the
+ISO-TP segmentation events between sending a request and taking its
+response -- with closed-form delivery arithmetic, while the application
+layer (the server's service handlers, the generator's belief machine,
+the campaign's probe/recover/checkpoint logic) runs unmodified.  The
 generators draw through :class:`~repro.sim.batch.BatchRandomView`
 facades over one shared :class:`~repro.sim.batch.BatchRandom`.
 
@@ -68,7 +68,7 @@ from repro.sim.batch import (BatchRandom, BatchRandomView, FrameRing,
                              state_from_random)
 from repro.sim.clock import MS, SECOND
 from repro.sim.random import rng_state_from_json, rng_state_to_json
-from repro.uds.client import UdsResponse
+from repro.uds.client import RESPONSE_QUANTUM, UdsResponse
 from repro.uds.stategen import UdsStateGenerator
 
 #: Checkpoint sentinel for worlds without a journal.
@@ -624,7 +624,8 @@ def plan_uds_world(index: int, campaign: UdsFuzzCampaign, bench,
     # The worst-case exchange the engine will ever model -- a request
     # at the segmentation cap answered by the longest response the
     # server can build -- must land strictly inside the client timeout,
-    # so an analytic delivery can never race the scalar poll deadline.
+    # so an analytic delivery can never race the scalar client's
+    # deadline.
     dids = server.data_identifiers
     if resume_state is not None:
         saved = (resume_state.get("server") or {}).get("data_identifiers")
@@ -1353,11 +1354,12 @@ class _UdsEngine:
     scalar transport): frames chain on the bus at exact delivery ticks
     (arbitration of a queued frame happens inside the completion
     callback), consecutive frames pace at the decoded STmin of 1 ms,
-    and the scalar client's poll loop returns at the first 1 ms
-    boundary at or after the response delivery.  Worlds whose requests
-    outgrow :data:`SAFE_UDS_REQUEST` are unpatched mid-run at a
-    request boundary -- where analytic and scalar state are exactly
-    equal -- and finish on the real kernel.
+    and the scalar client's event-driven wait returns at the first
+    :data:`~repro.uds.client.RESPONSE_QUANTUM` boundary counted from
+    the send at or after the response delivery, capped at the
+    deadline.  Worlds whose requests outgrow :data:`SAFE_UDS_REQUEST`
+    are unpatched mid-run at a request boundary -- where analytic and
+    scalar state are exactly equal -- and finish on the real kernel.
     """
 
     def __init__(self, owner: BatchUdsCampaign, indices: list[int]) -> None:
@@ -1485,6 +1487,7 @@ class _UdsEngine:
         fc_from_client = _wire_ticks(ce_tx, _UDS_FLOW_CONTROL, bitrate)
         running = EcuState.RUNNING
         ms = MS
+        quantum = RESPONSE_QUANTUM
 
         def piece(can_id, data):
             """Memoised wire time of one multi-frame piece."""
@@ -1635,10 +1638,10 @@ class _UdsEngine:
                 elif deadline > clock._now:
                     clock._now = deadline
                 return UdsResponse(None)
-            # The scalar poll loop advances in 1 ms slices from t0 and
-            # takes the response at the first boundary at or past its
-            # delivery (the final slice may be shorter than 1 ms).
-            boundary = t0 - ms * ((t0 - t_response) // ms)
+            # The scalar client's wait (Simulator.run_until_stopped)
+            # returns at the first RESPONSE_QUANTUM boundary from t0 at
+            # or past the delivery, capped at the deadline.
+            boundary = t0 - quantum * ((t0 - t_response) // quantum)
             if boundary > deadline:
                 boundary = deadline
             if queue._heap:

@@ -3,7 +3,10 @@
 The consumer-grade counterpart of :class:`~repro.obd.service.ObdResponder`:
 sends functional mode-01/03 queries on 0x7DF and decodes the replies.
 Like :class:`~repro.uds.client.UdsClient`, it owns the simulation
-while a query is in flight.
+while a query is in flight, and waits for the reply the same way: the
+first response frame stops the kernel, which finishes at the next
+1 ms boundary counted from the send
+(:meth:`~repro.sim.kernel.Simulator.run_until_stopped`).
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ class ObdScanner:
         self._controller.attach(bus)
         self._controller.set_rx_handler(self._on_frame)
         self._responses: list[bytes] = []
+        #: True while :meth:`_query` waits; the first response stops
+        #: the kernel.
+        self._awaiting = False
 
     def _on_frame(self, stamped: TimestampedFrame) -> None:
         frame = stamped.frame
@@ -36,15 +42,21 @@ class ObdScanner:
         length = frame.data[0] & 0x0F
         if 1 <= length <= len(frame.data) - 1:
             self._responses.append(bytes(frame.data[1:1 + length]))
+            if self._awaiting:
+                self._awaiting = False
+                self.sim.stop()
 
     def _query(self, request: bytes) -> bytes | None:
         self._responses.clear()
         self._controller.send(
             CanFrame(OBD_REQUEST_ID,
                      bytes((len(request),)) + request))
-        deadline = self.sim.now + self.timeout
-        while self.sim.now < deadline and not self._responses:
-            self.sim.run_for(min(1 * MS, deadline - self.sim.now))
+        self._awaiting = True
+        try:
+            self.sim.run_until_stopped(self.sim.now + self.timeout,
+                                       1 * MS)
+        finally:
+            self._awaiting = False
         return self._responses[0] if self._responses else None
 
     # ------------------------------------------------------------------

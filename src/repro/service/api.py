@@ -348,6 +348,7 @@ class ServiceApi:
 
     def _status(self) -> dict:
         status = self.orchestrator.status()
+        active = self.queue.active_per_tenant()
         status["api"] = {
             "requests": self.requests,
             "rejected": self.rejected,
@@ -355,8 +356,7 @@ class ServiceApi:
             "tenants": {
                 tenant: {"tokens": round(bucket.tokens, 2),
                          "shed": bucket.shed,
-                         "active_jobs":
-                             self.queue.active_for_tenant(tenant)}
+                         "active_jobs": active.get(tenant, 0)}
                 for tenant, bucket in sorted(self._buckets.items())
             },
             "buckets": {"tracked": len(self._buckets),

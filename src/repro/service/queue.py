@@ -178,6 +178,12 @@ class JobQueue:
             retry=retry)
         self.jobs: dict[str, Job] = {}
         self._order: list[str] = []
+        #: Index of the live (non-terminal) jobs in submission order,
+        #: and their count per tenant -- kept by :meth:`_set_state`, so
+        #: the orchestrator's per-tick views and quota checks cost
+        #: O(live jobs), not O(every job ever submitted).
+        self._live: dict[str, Job] = {}
+        self._live_per_tenant: dict[str, int] = {}
         self.divergent_completions = 0
         self.artefact_warnings: list[str] = []
         self._artefact_warned: set[str] = set()
@@ -201,19 +207,20 @@ class JobQueue:
         if kind == "job-submitted":
             spec = JobSpec.from_dict(event["job"])
             if spec.job_id not in self.jobs:
-                self.jobs[spec.job_id] = Job(spec=spec)
+                job = self.jobs[spec.job_id] = Job(spec=spec)
                 self._order.append(spec.job_id)
+                self._set_state(job, job.state)
             return
         job = self.jobs.get(event.get("job_id", ""))
         if job is None:
             return  # event for a job whose submit record was torn away
         if kind == "job-leased":
-            job.state = "leased"
+            self._set_state(job, "leased")
             job.attempts += 1
             job.worker = event.get("worker")
         elif kind == "job-requeued":
             if not job.terminal:
-                job.state = "pending"
+                self._set_state(job, "pending")
             job.worker = None
             note = event.get("note", "requeued")
             if event.get("fault", True):
@@ -221,7 +228,7 @@ class JobQueue:
             else:
                 job.notes.append(note)
         elif kind == "job-completed":
-            job.state = "completed"
+            self._set_state(job, "completed")
             job.worker = None
             job.fingerprint = event.get("fingerprint")
             job.result_summary = {
@@ -235,9 +242,33 @@ class JobQueue:
                 f"divergent duplicate completion "
                 f"{event.get('fingerprint')} (kept {job.fingerprint})")
         elif kind == "job-quarantined":
-            job.state = "quarantined"
+            self._set_state(job, "quarantined")
             job.worker = None
             job.faults.append(event.get("note", "quarantined"))
+
+    def _set_state(self, job: Job, state: str) -> None:
+        """The one place a job changes state: keeps the live index."""
+        job.state = state
+        job_id = job.spec.job_id
+        live = state not in TERMINAL_STATES
+        if live == (job_id in self._live):
+            return
+        tenant = job.spec.tenant
+        count = self._live_per_tenant.get(tenant, 0) + (1 if live else -1)
+        if count:
+            self._live_per_tenant[tenant] = count
+        else:
+            del self._live_per_tenant[tenant]
+        if not live:
+            del self._live[job_id]
+        elif job_id == self._order[-1]:
+            self._live[job_id] = job  # newest job: appending keeps order
+        else:
+            # A finished job leased again, which mark_leased refuses,
+            # so only a journal it did not guard can hold it: rebuild
+            # to keep submission order.
+            self._live = {i: self.jobs[i] for i in self._order
+                          if not self.jobs[i].terminal}
 
     # ------------------------------------------------------------------
     # Mutations (each durably journalled first)
@@ -329,8 +360,8 @@ class JobQueue:
         so a replayed ``leased`` state is always stale.  Not a fault --
         the job did nothing wrong.
         """
-        orphans = [job_id for job_id in self._order
-                   if self.jobs[job_id].state == "leased"]
+        orphans = [job_id for job_id, job in self._live.items()
+                   if job.state == "leased"]
         for job_id in orphans:
             self.requeue(job_id, note, fault=False)
         return orphans
@@ -345,17 +376,22 @@ class JobQueue:
         return [self.jobs[job_id] for job_id in self._order]
 
     def pending(self) -> list[Job]:
-        return [job for job in self.in_order() if job.state == "pending"]
+        """Pending jobs in submission order."""
+        return [job for job in self._live.values()
+                if job.state == "pending"]
 
     def idle(self) -> bool:
         """True when every submitted job reached a terminal state."""
-        return all(job.terminal for job in self.jobs.values())
+        return not self._live
 
     def active_for_tenant(self, tenant: str) -> int:
         """Live (pending or leased) jobs a tenant currently owns --
         the quantity per-tenant quotas bound."""
-        return sum(1 for job in self.jobs.values()
-                   if job.spec.tenant == tenant and not job.terminal)
+        return self._live_per_tenant.get(tenant, 0)
+
+    def active_per_tenant(self) -> dict[str, int]:
+        """:meth:`active_for_tenant` for every tenant with live jobs."""
+        return dict(self._live_per_tenant)
 
     @property
     def warnings(self) -> list[str]:

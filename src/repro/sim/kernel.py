@@ -162,6 +162,32 @@ class Simulator:
         """Run for ``duration`` ticks of simulated time."""
         self.run_until(self.now + duration)
 
+    def run_until_stopped(self, deadline: int, quantum: int) -> None:
+        """Run to ``deadline`` or, once an event calls :meth:`stop`, on
+        to the next ``quantum`` boundary.
+
+        This is a tester's wait for a reply: its receive handler calls
+        :meth:`stop`, and the wait ends at the first boundary
+        ``start + k * quantum`` (``k >= 1``) at or after the stopping
+        event, capped at ``deadline``, with every event up to that tick
+        fired -- exactly where a loop advancing in ``quantum`` slices
+        and checking for the reply after each one would have returned,
+        in two :meth:`run_until` calls instead of one per slice.  A
+        window that is already closed (``deadline`` not after now) runs
+        nothing.  The stop request is cleared on every path, so it
+        never leaks into a later run.
+        """
+        start = self.clock._now
+        if deadline <= start:
+            return
+        try:
+            self.run_until(deadline)
+            if self._stop_requested:
+                slices = max(1, -(-(self.clock._now - start) // quantum))
+                self.run_until(min(start + slices * quantum, deadline))
+        finally:
+            self._stop_requested = False
+
     def run_until_idle(self, max_time: int | None = None) -> None:
         """Run until no events remain (or ``max_time`` is reached).
 

@@ -39,6 +39,13 @@ from repro.uds.services import (
     ServiceId,
 )
 
+#: Granularity at which :meth:`UdsClient.request` notices a reply: it
+#: returns at the first 1 ms boundary (counted from the send) at or
+#: after the reply lands, capped at the deadline.  Part of the client's
+#: timing contract -- campaign clocks, journals and fingerprints depend
+#: on it -- so it is a constant, not an option.
+RESPONSE_QUANTUM = 1 * MS
+
 
 @dataclass(frozen=True)
 class UdsResponse:
@@ -97,6 +104,10 @@ class UdsClient:
         self.endpoint.on_message(self._on_response)
         self._controller.set_rx_handler(self.endpoint.handle_frame)
         self._responses: list[bytes] = []
+        #: SID of the request in flight while :meth:`request` waits
+        #: (``None`` between requests); its first matching reply stops
+        #: the kernel.
+        self._awaiting: int | None = None
         #: Replies that answered an earlier, already timed-out request.
         self.stale_responses = 0
         #: Stuck transmissions dropped to recover the endpoint.
@@ -120,6 +131,10 @@ class UdsClient:
                 and payload[1] == SECURITY_REQUEST_SEED):
             self.last_seed = payload[2]
         self._responses.append(payload)
+        awaiting = self._awaiting
+        if awaiting is not None and matches_request(awaiting, payload):
+            self._awaiting = None
+            self.sim.stop()
 
     # ------------------------------------------------------------------
     # Requests
@@ -151,22 +166,15 @@ class UdsClient:
             self.stale_responses += len(self._responses)
             self._responses.clear()
         self.endpoint.send(payload)
-        deadline = self.sim.now + timeout
-        while True:
-            matched = self._take_matching(sid)
-            if matched is not None:
-                return UdsResponse(matched)
-            if self.sim.now >= deadline:
-                break
-            before = self.sim.now
-            # Advance in small slices so we stop soon after the reply.
-            self.sim.run_for(min(1 * MS, deadline - self.sim.now))
-            if self.sim.now == before:
-                break
-        matched = self._take_matching(sid)
-        if matched is not None:
-            return UdsResponse(matched)
-        return UdsResponse(None)
+        # The first matching reply stops the kernel (_on_response); the
+        # wait then ends at the next RESPONSE_QUANTUM boundary.
+        self._awaiting = sid
+        try:
+            self.sim.run_until_stopped(self.sim.now + timeout,
+                                       RESPONSE_QUANTUM)
+        finally:
+            self._awaiting = None
+        return UdsResponse(self._take_matching(sid))
 
     def _take_matching(self, sid: int) -> bytes | None:
         """Pop the first reply answering ``sid``; count the rest stale."""

@@ -191,6 +191,56 @@ class TestBoundedBuckets:
         assert (api.buckets_evicted, api.buckets_evicted_unrefilled) == (1, 1)
 
 
+def _status_by_scan(api):
+    """``/status`` with per-tenant active counts from a scan of every
+    job per tenant -- the payload ``ServiceApi._status`` must keep."""
+    status = api.orchestrator.status()
+    status["api"] = {
+        "requests": api.requests,
+        "rejected": api.rejected,
+        "shed": dict(api.shed),
+        "tenants": {
+            tenant: {"tokens": round(bucket.tokens, 2),
+                     "shed": bucket.shed,
+                     "active_jobs": sum(
+                         1 for job in api.queue.jobs.values()
+                         if job.spec.tenant == tenant
+                         and not job.terminal)}
+            for tenant, bucket in sorted(api._buckets.items())
+        },
+        "buckets": {"tracked": len(api._buckets),
+                    "cap": MAX_TENANT_BUCKETS,
+                    "evicted": api.buckets_evicted,
+                    "evicted_unrefilled": api.buckets_evicted_unrefilled},
+        "rate": api.rate,
+        "burst": api.burst,
+        "max_active_per_tenant": api.max_active_per_tenant,
+    }
+    return status
+
+
+class TestStatusPayload:
+    def test_active_counts_equal_a_full_scan(self, api):
+        assert api._status() == _status_by_scan(api)
+        for index, tenant in enumerate(["a", "b", "a", "c", "b", "a"]):
+            post(api, "/jobs", {"job_id": f"j{index}", "max_frames": 10},
+                 {"x-tenant": tenant})
+        get(api, "/jobs", {"x-tenant": "idle-tenant"})
+        # A tenant with live jobs but no bucket is not listed.
+        api.queue.submit(job_id="direct", tenant="unlisted",
+                         max_frames=10)
+        queue = api.queue
+        queue.mark_leased("j0", "w")
+        queue.mark_completed("j0", {"frames_sent": 1})
+        queue.mark_leased("j1", "w")
+        queue.quarantine("j3", "strikes")
+        status = api._status()
+        assert status == _status_by_scan(api)
+        assert {tenant: row["active_jobs"]
+                for tenant, row in status["api"]["tenants"].items()} \
+            == {"a": 1, "b": 2, "c": 0, "idle-tenant": 0}
+
+
 class TestReads:
     def test_job_status_findings_artefacts(self, api):
         post(api, "/jobs", {"job_id": "a", "seed": 7, "max_frames": 10})

@@ -1,8 +1,11 @@
 """Durable job queue: lifecycle, replay parity, dedup, torn-write chaos."""
 
 import json
+import tempfile
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fuzz.durability import (DirectoryStore, FaultyStore,
                                    RetryPolicy)
@@ -166,6 +169,93 @@ class TestReplay:
         assert queue.active_for_tenant("t1") == 1
         assert queue.active_for_tenant("t2") == 1
         assert queue.active_for_tenant("nobody") == 0
+
+
+def _full_scan(queue):
+    """The live views recomputed from every job ever submitted."""
+    jobs = queue.in_order()
+    return {
+        "pending": [job.spec.job_id for job in jobs
+                    if job.state == "pending"],
+        "idle": all(job.terminal for job in jobs),
+        "active": dict(Counter(job.spec.tenant for job in jobs
+                               if not job.terminal)),
+    }
+
+
+def _indexed(queue):
+    """The same views as the queue's live index serves them."""
+    return {
+        "pending": [job.spec.job_id for job in queue.pending()],
+        "idle": queue.idle(),
+        "active": queue.active_per_tenant(),
+    }
+
+
+TENANTS = ("t1", "t2", "t3")
+
+queue_ops = st.lists(st.tuples(
+    st.sampled_from(["submit", "lease", "complete", "diverge", "requeue",
+                     "note", "quarantine", "relapse", "reopen",
+                     "restart"]),
+    st.integers(0, 7),
+    st.sampled_from(TENANTS)), max_size=40)
+
+
+class TestLiveIndex:
+    """``pending``/``idle``/per-tenant counts come from an index of live
+    jobs; after any operation sequence and any reopen they must equal a
+    full scan."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=queue_ops)
+    def test_index_equals_full_scan(self, ops):
+        with tempfile.TemporaryDirectory() as root:
+            queue = JobQueue(root)
+            for op, pick, tenant in ops:
+                ids = list(queue.jobs)
+                job_id = ids[pick % len(ids)] if ids else None
+                if op == "submit" or job_id is None:
+                    _submit(queue, f"j{len(ids)}", tenant=tenant)
+                elif op == "lease":
+                    if queue.get(job_id).state == "pending":
+                        queue.mark_leased(job_id, "w")
+                elif op == "complete":
+                    queue.mark_completed(job_id, RESULT)
+                elif op == "diverge":
+                    queue.mark_completed(job_id, {"frames_sent": pick})
+                elif op in ("requeue", "note"):
+                    queue.requeue(job_id, op, fault=op == "requeue")
+                elif op == "quarantine":
+                    queue.quarantine(job_id, "strikes")
+                elif op == "relapse":
+                    # A lease record mark_leased would have refused.
+                    queue._record({"type": "job-leased",
+                                   "job_id": job_id, "worker": "w"})
+                elif op == "reopen":
+                    queue = JobQueue(root)
+                else:
+                    queue = JobQueue(root)
+                    queue.release_orphans("restart")
+                assert _indexed(queue) == _full_scan(queue)
+                for name in TENANTS:
+                    assert (queue.active_for_tenant(name)
+                            == _full_scan(queue)["active"].get(name, 0))
+            reopened = JobQueue(root)
+            assert _indexed(reopened) == _full_scan(reopened)
+            assert _indexed(reopened) == _indexed(queue)
+
+    def test_relapsed_job_keeps_submission_order(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        _submit(queue, "a")
+        _submit(queue, "b")
+        queue.mark_leased("a", "w")
+        queue.mark_completed("a", RESULT)
+        queue._record({"type": "job-leased", "job_id": "a", "worker": "w"})
+        queue.requeue("a", "lost")
+        for view in (queue, JobQueue(tmp_path)):
+            assert [job.spec.job_id for job in view.pending()] == ["a", "b"]
+            assert _indexed(view) == _full_scan(view)
 
 
 class TestTornWriteChaos:
